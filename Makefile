@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint audit check accel bench bench-check bench-update bench-macro bench-macro-update schema-check trace-demo chaos chaos-runtime service-check recovery-check
+.PHONY: test lint audit check accel bench bench-check bench-update bench-macro bench-macro-update ledger-check schema-check trace-demo chaos chaos-runtime service-check recovery-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -63,9 +63,10 @@ recovery-check:
 # One command to gate a PR locally: invariants (per-file + whole-
 # program), tests (which include the exporter schema/golden contract),
 # runtime chaos parity, perf regressions, the service control plane,
-# and the 1k macro tier
-# (10k/100k are opt-in: `FRIEDA_MACRO_TIERS=1k,10k make bench-macro`).
-check: lint audit test schema-check chaos-runtime service-check recovery-check bench-check bench-macro
+# the 1k macro tier
+# (10k/100k are opt-in: `FRIEDA_MACRO_TIERS=1k,10k make bench-macro`),
+# and the ledger's correctness pass.
+check: lint audit test schema-check chaos-runtime service-check recovery-check bench-check bench-macro ledger-check
 
 # Build the optional C kernel accelerator in place. Soft-fails: without
 # a compiler the pure-Python kernel serves every caller (same
@@ -101,6 +102,18 @@ bench-macro: accel
 
 bench-macro-update: accel
 	$(PYTHON) -m benchmarks.bench_macro --update
+
+# The layered performance ledger (benchmarks/ledger, BENCHMARK.json):
+# its self-test, then one short untraced pass of all eight workloads at
+# seed 0. Exits non-zero on any failed correctness check or a witness
+# that differs from benchmarks/ledger/expected.json. No number is gated
+# here: 2 s a workload proves the workloads still run and still agree,
+# it does not measure them (`python -m benchmarks.ledger --compare`
+# over >= 5 runs a side does).
+ledger-check:
+	$(PYTHON) -m pytest benchmarks/ledger -q
+	$(PYTHON) -m benchmarks.ledger --seed 0 --runs 1 --no-trace --seconds 2 \
+		--out build/ledger/check.json
 
 # Runtime chaos: fault-path suites for the real execution planes plus
 # the cross-engine parity suite (simulated vs threaded vs TCP must

@@ -127,10 +127,18 @@ class ControlPlaneService:
         self.retry_policy = retry_policy or RetryPolicy.resilient()
         self.isolate_after = isolate_after
         self._jobs: dict[str, Job] = {}
+        # The running-job index: exactly the jobs in state RUNNING, at
+        # most ``max_running_jobs`` of them.  The lease cycle scans this
+        # instead of every job ever submitted.  Kept by ``_start``,
+        # ``_finish`` and ``cancel``; derived state, so snapshots do not
+        # carry it and ``_restore_state`` rebuilds it from ``_jobs``.
+        # Its iteration order (start order live, id order after a
+        # restore) cannot change a decision: ``fair.pick`` ranks by
+        # ``(usage/weight, tenant, job_id)``, a total order.
+        self._running: dict[str, Job] = {}
         self._parked: deque[str] = deque()
         self._tenants: dict[str, _TenantState] = {}
         self._next_id = 1
-        self._running = 0
         self._m_submitted = self.metrics.counter("service.jobs.submitted")
         self._m_completed = self.metrics.counter("service.jobs.completed")
         self._m_cancelled = self.metrics.counter("service.jobs.cancelled")
@@ -176,7 +184,7 @@ class ControlPlaneService:
         return state
 
     def _refresh_job_gauges(self) -> None:
-        self._g_running.set(self._running)
+        self._g_running.set(len(self._running))
         self._g_parked.set(len(self._parked))
 
     # -- submission ----------------------------------------------------------
@@ -190,7 +198,7 @@ class ControlPlaneService:
         tenant = self._tenant(spec.tenant)
         decision: Decision = self.admission.decide(
             spec,
-            running_jobs=self._running,
+            running_jobs=len(self._running),
             parked_jobs=len(self._parked),
             tenant_running=tenant.running_jobs,
             tenant_parked=tenant.parked_jobs,
@@ -250,7 +258,7 @@ class ControlPlaneService:
         job.state = JobState.RUNNING
         job.started_at = self._now()
         self._tenant(job.tenant).running_jobs += 1
-        self._running += 1
+        self._running[job.id] = job
         if job.scheduler.done:
             # Empty workload: trivially complete, never holds a worker.
             self._finish(job)
@@ -259,7 +267,7 @@ class ControlPlaneService:
         job.state = JobState.DONE
         job.finished_at = self._now()
         self._tenant(job.tenant).running_jobs -= 1
-        self._running -= 1
+        del self._running[job.id]
         self._m_completed.inc()
         self._promote_parked()
         self._refresh_job_gauges()
@@ -270,15 +278,17 @@ class ControlPlaneService:
         A tenant at its own quota is skipped rather than blocking the
         head of the line; the scan repeats until a full pass promotes
         nothing, so one freed slot can start several small tenants.
+        With the service at ``max_running_jobs`` every ``may_promote``
+        would say no, so the backlog is not walked at all.
         """
-        while True:
+        while len(self._running) < self.admission.max_running_jobs:
             promoted = False
             for job_id in list(self._parked):
                 job = self._jobs[job_id]
                 tenant = self._tenant(job.tenant)
                 if self.admission.may_promote(
                     job.tenant,
-                    running_jobs=self._running,
+                    running_jobs=len(self._running),
                     tenant_running=tenant.running_jobs,
                 ):
                     self._parked.remove(job_id)
@@ -316,12 +326,16 @@ class ControlPlaneService:
 
     @property
     def idle(self) -> bool:
-        """No runnable work and no outstanding leases."""
-        if any(job.leases for job in self._jobs.values()):
+        """No runnable work and no outstanding leases.
+
+        Every live lease holds its worker busy in the pool (cancelled
+        jobs' draining leases included) and only running jobs can have
+        queued work, so neither half looks at finished jobs.
+        """
+        if self.pool.busy:
             return False
         return not any(
-            job.state is JobState.RUNNING and job.scheduler.has_queued_work
-            for job in self._jobs.values()
+            job.scheduler.has_queued_work for job in self._running.values()
         )
 
     # -- cancellation --------------------------------------------------------
@@ -346,7 +360,7 @@ class ControlPlaneService:
             tenant.parked_jobs -= 1
         else:
             tenant.running_jobs -= 1
-            self._running -= 1
+            del self._running[job_id]
         self._m_cancelled.inc()
         self._promote_parked()
         self._refresh_job_gauges()
@@ -358,9 +372,7 @@ class ControlPlaneService:
         """Jobs a worker could serve right now: running, work queued,
         tenant within task-count and byte quotas."""
         out: list[tuple[str, str]] = []
-        for job in self._jobs.values():
-            if job.state is not JobState.RUNNING:
-                continue
+        for job in self._running.values():
             head = job.scheduler.peek_pending()
             if head is None:
                 continue
@@ -424,9 +436,18 @@ class ControlPlaneService:
 
     def lease_free_workers(self) -> list[Lease]:
         """One assignment pass: lease every free worker that can serve
-        something, in sorted worker order (deterministic)."""
+        something, in sorted worker order (deterministic).
+
+        The pass ends as soon as no running job is runnable: queues
+        only drain and tenants only approach their quotas while leases
+        are being granted, so no later worker could be served either.
+        A worker that merely finds every candidate isolated *to it* is
+        skipped, not the end of the pass.
+        """
         leases = []
         for worker_id in self.pool.free_workers():
+            if not self._candidates():
+                break
             lease = self.lease(worker_id)
             if lease is not None:
                 leases.append(lease)
@@ -591,7 +612,7 @@ class ControlPlaneService:
             "v": 1,
             "epoch": self.epoch,
             "next_id": self._next_id,
-            "running": self._running,
+            "running": len(self._running),
             "parked": list(self._parked),
             "tenants": [
                 {
@@ -646,7 +667,6 @@ class ControlPlaneService:
         self.epoch = int(state["epoch"])
         self._g_epoch.set(self.epoch)
         self._next_id = int(state["next_id"])
-        self._running = int(state["running"])
         self._parked = deque(str(j) for j in state["parked"])
         self._tenants = {}
         for entry in state["tenants"]:
@@ -661,6 +681,11 @@ class ControlPlaneService:
         for jstate in state["jobs"]:
             job = self._restore_job(jstate, leases)
             self._jobs[job.id] = job
+        self._running = {
+            job.id: job
+            for job in self._jobs.values()
+            if job.state is JobState.RUNNING
+        }
         self.pool.restore_state(state["pool"], leases)
         self._refresh_job_gauges()
 

@@ -105,6 +105,11 @@ class WorkerPool:
     def size(self) -> int:
         return len(self._free) + len(self._busy)
 
+    @property
+    def busy(self) -> int:
+        """How many workers hold a lease right now."""
+        return len(self._busy)
+
     def free_workers(self) -> tuple[str, ...]:
         return tuple(self._free)
 

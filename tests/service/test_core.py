@@ -91,6 +91,28 @@ class TestLeaseCycle:
         assert metrics.counter("service.leases.stale_reports").value == 1
 
 
+class TestIdle:
+    def test_idle_ignores_finished_jobs_but_not_their_draining_leases(self):
+        svc, clock = make_service(workers=3, max_running_jobs=3)
+        assert svc.idle
+        svc.submit(spec(tenant="a", name="done", sizes=(10,)))
+        doomed = svc.submit(spec(tenant="b", name="doomed", sizes=(10, 10)))
+        assert not svc.idle  # work queued, nothing leased yet
+        leases = svc.lease_free_workers()
+        assert len(leases) == 3
+        svc.cancel(doomed["job_id"])
+        svc.complete(leases[0])
+        assert [j["state"] for j in svc.list_jobs()] == ["done", "cancelled"]
+        assert not svc.idle  # the cancelled job's leases are still out
+        for lease in leases[1:]:
+            svc.complete(lease)
+        assert svc.idle
+        svc.submit(spec(tenant="c", name="late", sizes=(10,)))
+        assert not svc.idle
+        drain(svc, clock)
+        assert svc.idle
+
+
 class TestCancel:
     def test_cancel_releases_leases_and_frees_capacity(self):
         svc, clock = make_service(workers=2, max_running_jobs=1)
