@@ -124,27 +124,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         from repro.runtime.tcp import TcpEngine
 
-        # TCP workers execute callables; wrap the shell command.
-        import subprocess
-
-        shell_command = command
-
-        def run_shell(*paths: str) -> None:
-            rendered = shell_command.build(list(paths))
-            proc = subprocess.run(
-                rendered, shell=True, capture_output=True, timeout=args.command_timeout
-            )
-            if proc.returncode != 0:
-                raise FriedaError(
-                    (proc.stderr or b"").decode(errors="replace")[:500]
-                    or f"exit code {proc.returncode}"
-                )
-
-        command = CommandTemplate(function=run_shell, name=args.command.split()[0])
         # Tracing turns heartbeats on: the beats carry the send/receive
         # pairs that clock-align worker spans (and the RTT histogram).
         engine = TcpEngine(
             num_workers=args.workers,
+            command_timeout=args.command_timeout,
             heartbeat_interval=0.5 if args.trace else 0.0,
         )
 

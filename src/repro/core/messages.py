@@ -12,7 +12,7 @@ the same objects through in-memory mailboxes.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Type
 
 from repro.errors import ProtocolError
@@ -26,12 +26,25 @@ class Message:
     msg_type: ClassVar[str] = "MESSAGE"
 
     def to_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
+        # Shallow on purpose: every field is a str/int/float/bool or a
+        # (nested) tuple of those — immutable, so ``asdict``'s recursive
+        # deep copy bought nothing. ``json`` writes tuples as arrays, so
+        # the wire bytes are the same either way.
+        payload = {name: getattr(self, name) for name in _field_names(type(self))}
         payload["type"] = self.msg_type
         return payload
 
 
 _REGISTRY: dict[str, Type[Message]] = {}
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _field_names(cls: Type[Message]) -> tuple[str, ...]:
+    """The serialized field names of a message class (cached per class)."""
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
 
 
 def _register(cls: Type[Message]) -> Type[Message]:
@@ -304,14 +317,14 @@ def encode_message(message: Message) -> bytes:
 
 def _coerce(cls: Type[Message], payload: dict[str, Any]) -> Message:
     kwargs: dict[str, Any] = {}
-    for f in fields(cls):
-        if f.name not in payload:
+    for name in _field_names(cls):
+        if name not in payload:
             continue
-        value = payload[f.name]
+        value = payload[name]
         # JSON produces lists; the dataclasses use tuples for hashability.
         if isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[f.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -320,17 +333,18 @@ def decode_message(data: bytes | str | dict[str, Any]) -> Message:
     if isinstance(data, (bytes, str)):
         try:
             payload = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and invalid UTF-8;
+            # RecursionError, hostile nesting depth.
             raise ProtocolError(f"undecodable message: {exc}") from exc
     else:
         payload = dict(data)
     if not isinstance(payload, dict) or "type" not in payload:
         raise ProtocolError(f"message without type: {payload!r}")
     msg_type = payload.pop("type")
-    try:
-        cls = _REGISTRY[msg_type]
-    except KeyError:
-        raise ProtocolError(f"unknown message type {msg_type!r}") from None
+    cls = _REGISTRY.get(msg_type) if isinstance(msg_type, str) else None
+    if cls is None:
+        raise ProtocolError(f"unknown message type {msg_type!r}")
     try:
         return _coerce(cls, payload)
     except TypeError as exc:

@@ -29,9 +29,9 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.core.messages import FileData, Message, encode_message
+from repro.core.messages import Message
 from repro.errors import ConfigurationError
-from repro.runtime.protocol import _LEN, Channel
+from repro.runtime.protocol import Channel, frame_head
 from repro.util.seeding import make_rng
 
 _ACTIONS = ("drop", "delay", "corrupt", "truncate")
@@ -165,8 +165,7 @@ class FaultyChannel(Channel):
         raise AssertionError(f"unreachable action {rule.action!r}")
 
     def _truncate(self, message: Message, payload: bytes) -> None:
-        body = encode_message(message)
-        blob = _LEN.pack(len(body)) + body + payload
+        blob = frame_head(message, payload) + payload
         cut = max(1, int(len(blob) * self.script.truncate_fraction()))
         self.writer.write(blob[:cut])
         self.writer.close()

@@ -47,6 +47,48 @@ from repro.telemetry.slo import SloEvaluator, SloProbe
 from repro.telemetry.spans import NULL_TELEMETRY, SpanHandle, Telemetry
 
 
+def _as_command(command: CommandTemplate | Callable[..., object] | str) -> CommandTemplate:
+    if isinstance(command, str):
+        return CommandTemplate(template=command)
+    if callable(command) and not isinstance(command, CommandTemplate):
+        return CommandTemplate(function=command)
+    return command
+
+
+def execute_command(
+    command: CommandTemplate | None, paths: Sequence[str], timeout: float
+) -> tuple[bool, str]:
+    """Run one task's program over its resolved input paths; blocking.
+
+    A callable is called with the paths; a shell template is rendered
+    and run through ``subprocess`` with ``timeout``. Returns
+    ``(ok, error)``: a raise, a non-zero exit or a timeout is a task
+    error, never an exception — task errors must not kill the worker.
+    Both real engines execute every task through this function.
+    """
+    try:
+        if command is not None and command.function is not None:
+            command.call(paths)
+            return True, ""
+        rendered = command.build(paths) if command is not None else ""
+        if not rendered:
+            return True, ""
+        proc = subprocess.run(
+            rendered,
+            shell=True,
+            capture_output=True,
+            timeout=timeout,
+            text=True,
+        )
+        if proc.returncode != 0:
+            return False, (proc.stderr or f"exit code {proc.returncode}").strip()[:500]
+        return True, ""
+    except subprocess.TimeoutExpired:
+        return False, f"command timed out after {timeout}s"
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+
+
 def _as_dataset(inputs: Dataset | Sequence[str]) -> Dataset:
     if isinstance(inputs, Dataset):
         return inputs
@@ -128,10 +170,7 @@ class ThreadedEngine:
         under a fresh id minted by the shared rejoin policy
         (``local:0`` → ``local:0:r1``), mirroring the TCP engine.
         """
-        if callable(command) and not isinstance(command, CommandTemplate):
-            command = CommandTemplate(function=command)
-        elif isinstance(command, str):
-            command = CommandTemplate(template=command)
+        command = _as_command(command)
         crash_map = crash_worker_on_task or {}
         hang_map = hang_worker_on_task or {}
         respawn_map = respawn_after_crash or {}
@@ -582,7 +621,11 @@ class ThreadedEngine:
             exec_at = tel.clock()
             start = time.monotonic()
             execution = logic.begin_task(group.index, group.file_names, start)
-            ok, error = self._execute(logic, group.file_names)
+            ok, error = execute_command(
+                logic.command,
+                [logic.resolve_path(n) for n in group.file_names],
+                self.command_timeout,
+            )
             end = time.monotonic()
             logic.finish_task(end, ok=ok, error=error)
             busy_seconds += end - start
@@ -628,28 +671,3 @@ class ThreadedEngine:
             # off): wake any sleeper so it re-checks the exit condition.
             wakeup.notify_all()
         outcomes[logic.worker_id] = _WorkerOutcome(records, transfer_seconds, busy_seconds)
-
-    def _execute(self, logic: WorkerLogic, file_names: Sequence[str]) -> tuple[bool, str]:
-        paths = [logic.resolve_path(n) for n in file_names]
-        command = logic.command
-        try:
-            if command is not None and command.function is not None:
-                command.call(paths)
-                return True, ""
-            rendered = command.build(paths) if command is not None else ""
-            if not rendered:
-                return True, ""
-            proc = subprocess.run(
-                rendered,
-                shell=True,
-                capture_output=True,
-                timeout=self.command_timeout,
-                text=True,
-            )
-            if proc.returncode != 0:
-                return False, (proc.stderr or f"exit code {proc.returncode}").strip()[:500]
-            return True, ""
-        except subprocess.TimeoutExpired:
-            return False, f"command timed out after {self.command_timeout}s"
-        except Exception as exc:  # task errors must not kill the worker
-            return False, f"{type(exc).__name__}: {exc}"

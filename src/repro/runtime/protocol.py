@@ -14,6 +14,11 @@ raises :class:`~repro.errors.ChecksumError` on mismatch — the stream
 stays correctly framed, so the receiver can keep reading and either ask
 the sender for a retransmit (``RESEND_FILE``) or drop the batch
 (telemetry is lossy-tolerant) instead of tearing the connection down.
+
+Hostile frames: a ``payload_len`` that is not a non-negative ``int`` no
+larger than :data:`MAX_FRAME`, undecodable JSON or an unknown message
+type raises :class:`~repro.errors.ProtocolError` — never a stray
+``TypeError`` from deep inside a decoder.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ from repro.errors import ChecksumError, ProtocolError
 
 #: Frames above this size are rejected (corrupt length prefix guard).
 MAX_FRAME = 64 * 1024 * 1024
+
+#: Payloads up to this size (the asyncio stream-buffer size) are
+#: "small": written in the same ``writer.write`` as their header, read
+#: by the master without an executor hop and handed to the worker's
+#: task executor call in memory. Larger ones keep a write of their own.
+SMALL_PAYLOAD = 64 * 1024
 
 #: Message kinds that may be followed by a binary payload of
 #: ``payload_len`` bytes checksummed by ``checksum``.
@@ -74,8 +85,24 @@ def _verify_payload(message: Message, payload: bytes) -> None:
             raise ChecksumError(message, expected=message.checksum, actual=actual)
 
 
-def write_frame(writer: asyncio.StreamWriter, message: Message, payload: bytes = b"") -> None:
-    """Queue one message (and its optional binary payload) on a writer."""
+def _payload_len(message: Message) -> int:
+    """How many payload bytes follow ``message``'s body on the wire."""
+    if not isinstance(message, PAYLOAD_KINDS):
+        return 0
+    length = message.payload_len
+    if type(length) is not int or not 0 <= length <= MAX_FRAME:
+        raise ProtocolError(
+            f"{message.msg_type} payload_len must be an int in"
+            f" [0, {MAX_FRAME}], got {length!r}"
+        )
+    return length
+
+
+def frame_head(message: Message, payload: bytes = b"") -> bytes:
+    """Length prefix + JSON body of one frame (``payload`` follows it).
+
+    Validates the message/payload pairing the receiver relies on.
+    """
     if payload and not isinstance(message, PAYLOAD_KINDS):
         raise ProtocolError(
             "binary payloads are only valid after FILE_DATA or TELEMETRY"
@@ -88,9 +115,21 @@ def write_frame(writer: asyncio.StreamWriter, message: Message, payload: bytes =
     body = encode_message(message)
     if len(body) > MAX_FRAME:
         raise ProtocolError(f"frame too large: {len(body)} bytes")
-    writer.write(_LEN.pack(len(body)))
-    writer.write(body)
-    if payload:
+    return _LEN.pack(len(body)) + body
+
+
+def write_frame(writer: asyncio.StreamWriter, message: Message, payload: bytes = b"") -> None:
+    """Queue one message (and its optional binary payload) on a writer.
+
+    One ``write`` per frame when the payload is at most
+    :data:`SMALL_PAYLOAD`; above that the payload gets a second write
+    rather than being copied onto the header.
+    """
+    head = frame_head(message, payload)
+    if len(payload) <= SMALL_PAYLOAD:
+        writer.write(head + payload)
+    else:
+        writer.write(head)
         writer.write(payload)
 
 
@@ -107,11 +146,8 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[Message, bytes]:
         raise ProtocolError(f"frame length {length} exceeds maximum")
     body = await reader.readexactly(length)
     message = decode_message(body)
-    payload = b""
-    if isinstance(message, PAYLOAD_KINDS) and message.payload_len > 0:
-        if message.payload_len > MAX_FRAME:
-            raise ProtocolError(f"payload length {message.payload_len} exceeds maximum")
-        payload = await reader.readexactly(message.payload_len)
+    need = _payload_len(message)
+    payload = await reader.readexactly(need) if need else b""
     _verify_payload(message, payload)
     return message, payload
 
@@ -175,10 +211,7 @@ class FrameReader:
                 return
             body = bytes(self._buffer[_LEN.size : _LEN.size + length])
             message = decode_message(body)
-            need = 0
-            if isinstance(message, PAYLOAD_KINDS):
-                need = message.payload_len
-            total = _LEN.size + length + need
+            total = _LEN.size + length + _payload_len(message)
             if len(self._buffer) < total:
                 return
             payload = bytes(self._buffer[_LEN.size + length : total])

@@ -78,8 +78,13 @@ from repro.data.files import Dataset
 from repro.data.partition import PartitionScheme
 from repro.errors import ChecksumError, ConfigurationError, ProtocolError
 from repro.runtime.faults import ANY_TASK, FaultScript, FaultyChannel
-from repro.runtime.local import _as_dataset
-from repro.runtime.protocol import Channel, file_data_message, telemetry_batch_message
+from repro.runtime.local import _as_command, _as_dataset, execute_command
+from repro.runtime.protocol import (
+    SMALL_PAYLOAD,
+    Channel,
+    file_data_message,
+    telemetry_batch_message,
+)
 from repro.telemetry.shipping import TelemetryMerger, TelemetryShipper, decode_batch, encode_batch
 from repro.telemetry.slo import SloEvaluator, SloProbe
 from repro.telemetry.spans import NULL_TELEMETRY, Telemetry
@@ -101,6 +106,7 @@ class TcpEngine:
         *,
         scratch_root: Optional[str] = None,
         run_timeout: float = 120.0,
+        command_timeout: float = 300.0,
         host: str = "127.0.0.1",
         registration_window: float = 5.0,
         heartbeat_interval: float = 0.0,
@@ -121,6 +127,8 @@ class TcpEngine:
         ``telemetry_interval`` is the period of worker telemetry flushes
         (and of SLO/queue-depth sampling when heartbeats are off); it
         only matters when a recording hub is passed to :meth:`run`.
+        ``command_timeout`` bounds each shell-template task, as on
+        :class:`~repro.runtime.local.ThreadedEngine`.
         """
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
@@ -129,6 +137,7 @@ class TcpEngine:
         self.num_workers = num_workers
         self.scratch_root = scratch_root
         self.run_timeout = run_timeout
+        self.command_timeout = command_timeout
         self.host = host
         self.registration_window = registration_window
         self.heartbeat_interval = heartbeat_interval
@@ -143,7 +152,7 @@ class TcpEngine:
         self,
         inputs: Dataset | Sequence[str],
         *,
-        command: CommandTemplate | Callable[..., object],
+        command: CommandTemplate | Callable[..., object] | str,
         strategy: StrategyKind | str = StrategyKind.REAL_TIME,
         grouping: PartitionScheme | str = PartitionScheme.SINGLE,
         grouping_options: dict | None = None,
@@ -187,8 +196,7 @@ class TcpEngine:
         - ``fault_script``: seeded wire perturbations
           (:class:`~repro.runtime.faults.FaultScript`).
         """
-        if callable(command) and not isinstance(command, CommandTemplate):
-            command = CommandTemplate(function=command)
+        command = _as_command(command)
         dataset = _as_dataset(inputs)
         hang_map = hang_worker_on_task or {}
         if hang_map and self.heartbeat_interval <= 0:
@@ -334,6 +342,7 @@ class TcpEngine:
                 command,
                 os.path.join(root, wid.replace(":", "_")),
                 records,
+                command_timeout=self.command_timeout,
                 crash_on_task=crash_map.get(wid),
                 hang_on_task=hang_map.get(wid),
                 hang_release=hang_release,
@@ -357,6 +366,7 @@ class TcpEngine:
                     command,
                     os.path.join(root, scratch_name(fresh)),
                     records,
+                    command_timeout=self.command_timeout,
                     heartbeat_interval=self.heartbeat_interval,
                     reply_timeout=self.reply_timeout,
                     max_payload_retries=self.max_payload_retries,
@@ -646,20 +656,19 @@ class _Master:
         self.run_done.set()
 
     # -- data ----------------------------------------------------------
-    def _file_bytes(self, name: str) -> bytes:
-        file = self.dataset.get(name)
-        if file.path is None:
-            raise ConfigurationError(f"file {name!r} has no on-disk path")
-        with open(file.path, "rb") as fh:
-            return fh.read()
-
     async def _send_file(
         self, channel: Channel, wid: str, name: str, task_id: int
     ) -> None:
-        # Disk reads stay off the event loop so one large input cannot
-        # stall heartbeat processing for every connected worker.
-        loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(None, self._file_bytes, name)
+        file = self.dataset.get(name)
+        if file.path is None:
+            raise ConfigurationError(f"file {name!r} has no on-disk path")
+        if file.size <= SMALL_PAYLOAD:
+            payload = _read_small_input(file.path)
+        else:
+            # Large reads stay off the event loop so one big input
+            # cannot stall heartbeat processing for every worker.
+            loop = asyncio.get_running_loop()
+            payload = await loop.run_in_executor(None, _read_input, file.path)
         t0 = time.monotonic()
         await channel.send(file_data_message(task_id, name, payload), payload)
         self.transfer_seconds += time.monotonic() - t0
@@ -979,17 +988,72 @@ class _FramePump:
         self.task.cancel()
 
 
-def _write_payload(scratch_dir: str, file_name: str, payload: bytes) -> None:
-    """Spill one received file to worker scratch, synchronously.
+def _read_input(path: str) -> bytes:
+    """Read one master-side input; runs in the executor (large inputs)."""
+    with open(path, "rb") as fh:
+        return fh.read()
 
-    Deliberately NOT offloaded to an executor: spills are bounded by
-    one frame, and yielding between a staged frame and the worker's
-    next request reorders task assignment across workers — the fault
-    tests pin which worker is handed which task, and the paper's
-    protocol assumes a worker drains each push before asking for more.
+
+def _read_small_input(path: str) -> bytes:
+    """Read one input of at most :data:`SMALL_PAYLOAD` bytes on the loop.
+
+    A read this size costs less than the executor hop it replaces (a
+    thread hand-off plus a loop wake-up per file); anything larger goes
+    through :func:`_read_input` in the executor instead.
+    """
+    with open(path, "rb") as fh:  # frieda: allow[async-blocking] -- at most SMALL_PAYLOAD bytes, cheaper than the executor hop (see docstring)
+        return fh.read()
+
+
+def _write_payload(scratch_dir: str, file_name: str, payload: bytes) -> None:
+    """Spill one received file to worker scratch.
+
+    Staging pushes and inputs larger than :data:`SMALL_PAYLOAD` (by
+    the catalog size ``FILE_METADATA`` advertises) are spilled on the
+    event loop the moment their frame arrives. A task's small inputs
+    are held in memory by the fetch loop instead and spilled by
+    :func:`_run_task` inside the task's single executor call, right
+    before the command runs. The on-loop spill is deliberate:
+
+    - Not offloaded to an executor of its own: a spill is bounded by
+      one frame, and yielding between a staged frame and the worker's
+      next request reorders task assignment across workers — the
+      fault tests pin which worker is handed which task, and the
+      paper's protocol assumes a worker drains each push before asking
+      for more. Holding a small input adds no yield either, so it
+      reorders nothing.
+    - Not deferred to the task's executor call: holding large payloads
+      until the command runs keeps all of a task's big inputs resident
+      at once, which raises peak memory by the size of the task.
     """
     with open(os.path.join(scratch_dir, file_name), "wb") as fh:  # frieda: allow[async-blocking] -- deliberate: frame-sized spill; yielding here reorders task assignment (see docstring)
         fh.write(payload)
+
+
+def _run_task(
+    logic: WorkerLogic,
+    task: FileMetadata,
+    held: dict[str, bytes],
+    command_timeout: float,
+) -> tuple[float, float, bool, str]:
+    """The blocking half of one task, run as its single executor call.
+
+    Spills the task's held small inputs to scratch, stamps ``start``,
+    opens the execution record (``begin_task`` checks every input is
+    present) and runs the command. Returns ``(start, end, ok, error)``.
+    The worker coroutine is suspended on this call, so nothing else
+    touches ``logic`` meanwhile.
+    """
+    for name, payload in held.items():
+        _write_payload(logic.scratch_dir, name, payload)
+    start = time.monotonic()
+    logic.begin_task(task.task_id, task.file_names, start)
+    ok, error = execute_command(
+        logic.command,
+        [logic.resolve_path(n) for n in task.file_names],
+        command_timeout,
+    )
+    return start, time.monotonic(), ok, error
 
 
 async def _heartbeat_loop(
@@ -1027,6 +1091,7 @@ async def _worker_client(
     scratch_dir: str,
     records: list[TaskRecord],
     *,
+    command_timeout: float = 300.0,
     crash_on_task: Optional[int] = None,
     hang_on_task: Optional[int] = None,
     hang_release: asyncio.Event | None = None,
@@ -1221,8 +1286,16 @@ async def _worker_client(
             task_span = wtel.span(
                 "task", track=track, task=message.task_id, attempt=message.attempt
             )
-            # Wait until every input for this task has arrived.
+            # Wait until every input for this task has arrived. Small
+            # inputs are held for the task's executor call; large ones
+            # spill as they land (see _write_payload).
+            held: dict[str, bytes] = {}
             if logic.missing_files(message.file_names):
+                small = {
+                    name
+                    for name, size in zip(message.file_names, message.sizes)
+                    if size <= SMALL_PAYLOAD
+                }
                 fetch_span = wtel.span(
                     "fetch", parent=task_span, track=track, task=message.task_id
                 )
@@ -1232,22 +1305,20 @@ async def _worker_client(
                     )
                     if not isinstance(data_msg, FileData):
                         raise ProtocolError("expected FILE_DATA for missing inputs")
-                    _write_payload(scratch_dir, data_msg.file_name, payload)
+                    if data_msg.file_name in small:
+                        held[data_msg.file_name] = payload
+                    else:
+                        _write_payload(scratch_dir, data_msg.file_name, payload)
                     logic.receive_file(data_msg.file_name)
                 fetch_span.end()
-            start = time.monotonic()
-            logic.begin_task(message.task_id, message.file_names, start)
-            paths = [logic.resolve_path(n) for n in message.file_names]
             exec_span = wtel.span(
                 "exec", parent=task_span, track=track, task=message.task_id
             )
-            ok, error = True, ""
-            try:
-                # Run the program off the event loop.
-                await loop.run_in_executor(None, lambda: command.call(paths))
-            except Exception as exc:
-                ok, error = False, f"{type(exc).__name__}: {exc}"
-            end = time.monotonic()
+            # One hop per task: spill, start stamp and the program all
+            # run off the event loop in this single call.
+            start, end, ok, error = await loop.run_in_executor(
+                None, _run_task, logic, message, held, command_timeout
+            )
             exec_span.end(ok=ok)
             task_span.end(ok=ok)
             wtel.metrics.histogram("task.exec_seconds").observe(end - start)
