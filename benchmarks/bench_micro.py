@@ -152,48 +152,6 @@ def test_partition_generation_all_to_all(benchmark):
     assert len(groups) == 300 * 299 // 2
 
 
-@pytest.mark.benchmark(group="micro-monitor")
-def test_monitor_indexed_interval_queries(benchmark):
-    """100 per-key queries over 20k intervals across 100 keys.
-
-    The per-key index makes each ``intervals_for``/``union_time`` read
-    proportional to that key's records, not the whole history — this is
-    the satellite optimisation PR 3 added; without the index this scans
-    2M records instead of 20k.
-    """
-    from repro.sim.monitor import Monitor
-
-    monitor = Monitor()
-    for i in range(20_000):
-        monitor.interval(f"key{i % 100}", float(i), float(i + 2), worker=f"w{i % 8}")
-
-    def query_all():
-        total = 0.0
-        for k in range(100):
-            total += monitor.union_time(f"key{k}")
-            total += monitor.busy_time(f"key{k}", worker="w0")
-        return total
-
-    assert benchmark(query_all) > 0
-
-
-@pytest.mark.benchmark(group="micro-telemetry")
-def test_span_emission_with_monitor_sink(benchmark):
-    """10k complete spans through the hub into a Monitor sink."""
-    from repro.sim.monitor import Monitor, MonitorSink
-    from repro.telemetry import Telemetry
-
-    def emit():
-        monitor = Monitor()
-        tel = Telemetry(clock=lambda: 0.0)
-        tel.bind(monitor=MonitorSink(monitor))
-        for i in range(10_000):
-            tel.span_complete("exec", float(i), float(i + 1), track="w", task=i)
-        return monitor.busy_time("exec")
-
-    assert benchmark(emit) == 10_000.0
-
-
 @pytest.mark.benchmark(group="micro-telemetry")
 def test_chrome_trace_export_10k_spans(benchmark):
     """Serialize a 10k-span recording hub to trace-event JSON bytes."""

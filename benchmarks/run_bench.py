@@ -9,7 +9,7 @@ Usage::
 The baseline file at the repo root records the median ns/op for every
 micro-benchmark, grouped as pytest-benchmark groups them. ``--check``
 fails when any benchmark in the guarded groups (kernel, network,
-partitioning, telemetry, monitor — the hot paths this repo optimises)
+partitioning, telemetry — the hot paths this repo optimises)
 regresses more than ``--threshold`` (default 20%) against the
 committed baseline, and prints a per-test delta table for the guarded
 groups either way. Baselines carry a machine-speed calibration probe
@@ -39,7 +39,6 @@ GUARDED_GROUPS = (
     "micro-network",
     "micro-partition",
     "micro-telemetry",
-    "micro-monitor",
 )
 
 

@@ -1,7 +1,7 @@
 """Code-hygiene rule pack.
 
 - ``no-print``  library code must not write to stdout with ``print()``;
-  measurements flow through the telemetry hub / Monitor, and human
+  measurements flow through the telemetry hub, and human
   output belongs to the user-facing surfaces. Modules whose dotted name
   ends in ``.cli``, ``.plots``, ``.tables`` or ``.__main__`` *are* those
   surfaces and are exempt (``repro.cli`` itself matches the ``.cli``

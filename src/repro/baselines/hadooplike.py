@@ -37,8 +37,8 @@ from repro.data.partition import PartitionScheme, TaskGroup, generate_groups
 from repro.engines.compute import ComputeModel
 from repro.errors import ConfigurationError
 from repro.sim.kernel import Environment, Event
-from repro.sim.monitor import Monitor
 from repro.util.seeding import make_rng
+from repro.util.stats import union_time
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,7 @@ class HadoopLikeEngine:
     ) -> RunOutcome:
         """Execute the workload with locality-greedy scheduling."""
         env = Environment()
-        monitor = Monitor()
-        cluster = Provisioner(env, monitor).provision_now(self.spec)
+        cluster = Provisioner(env).provision_now(self.spec)
         workers = [vm for vm in cluster.worker_vms if vm.is_running]
         if not workers:
             raise ConfigurationError("no running workers")
@@ -134,6 +133,8 @@ class HadoopLikeEngine:
         busy: dict[str, float] = {}
         local_tasks = [0]
         remote_bytes = [0.0]
+        exec_spans: list[tuple[float, float]] = []
+        transfer_spans: list[tuple[float, float]] = []
         done_event = Event(env)
         outstanding = [len(groups)]
         start_time = env.now
@@ -200,9 +201,9 @@ class HadoopLikeEngine:
                 busy[wid] += env.now - exec_start
                 if fully_local:
                     local_tasks[0] += 1
-                monitor.interval("exec", exec_start, env.now, worker=wid)
+                exec_spans.append((exec_start, env.now))
                 if flows:
-                    monitor.interval("transfer", task_start, exec_start, worker=wid)
+                    transfer_spans.append((task_start, exec_start))
                 records.append(
                     TaskRecord(
                         task_id=group.index,
@@ -231,8 +232,8 @@ class HadoopLikeEngine:
             strategy=StrategyKind.REAL_TIME,  # closest descriptor: pull-based
             grouping=PartitionScheme(grouping),
             makespan=makespan,
-            transfer_time=monitor.union_time("transfer"),
-            execution_time=monitor.union_time("exec"),
+            transfer_time=union_time(transfer_spans),
+            execution_time=union_time(exec_spans),
             tasks_total=len(groups),
             tasks_completed=len(records),
             bytes_transferred=remote_bytes[0],

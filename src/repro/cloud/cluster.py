@@ -27,7 +27,6 @@ from repro.cloud.network import FlowNetwork
 from repro.cloud.storage import LocalDisk, NetworkStorage, StorageVolume
 from repro.errors import NetworkError, ProvisioningError
 from repro.sim.kernel import Environment, Event
-from repro.sim.monitor import Monitor, MonitorSink
 from repro.telemetry.spans import Telemetry
 from repro.util.seeding import make_rng
 from repro.util.units import Mbit
@@ -74,19 +73,16 @@ class VirtualCluster:
         self,
         env: Environment,
         spec: ClusterSpec,
-        monitor: Monitor | None = None,
         telemetry: Telemetry | None = None,
     ):
         self.env = env
         self.spec = spec
-        self.monitor = monitor or Monitor()
         if telemetry is None:
-            # Standalone construction: a private hub whose only consumer
-            # is this cluster's monitor (the engine passes a shared hub).
+            # Standalone construction: a private hub that keeps metrics
+            # but records nothing (the engine passes its own hub).
             telemetry = Telemetry(clock=lambda: env.now)
-            telemetry.bind(monitor=MonitorSink(self.monitor))
         self.telemetry = telemetry
-        self.network = FlowNetwork(env, self.monitor, telemetry=telemetry)
+        self.network = FlowNetwork(env, telemetry=telemetry)
         self.vms: dict[str, VirtualMachine] = {}
         self.master_vm: Optional[VirtualMachine] = None
         self.shared_storage: Optional[NetworkStorage] = None
@@ -216,16 +212,14 @@ class Provisioner:
     def __init__(
         self,
         env: Environment,
-        monitor: Monitor | None = None,
         telemetry: Telemetry | None = None,
     ):
         self.env = env
-        self.monitor = monitor
         self.telemetry = telemetry
 
     def provision(self, spec: ClusterSpec) -> tuple[VirtualCluster, Event]:
         """Create the cluster; returns (cluster, ready_event)."""
-        cluster = VirtualCluster(self.env, spec, self.monitor, self.telemetry)
+        cluster = VirtualCluster(self.env, spec, self.telemetry)
         rng = make_rng(spec.seed, "provision", spec.name)
         master = cluster.create_vm(
             "master", spec.master_instance_type or spec.instance_type

@@ -76,7 +76,6 @@ from repro.cloud.maxmin import solve_component as _solve_component_batched
 from repro.cloud.maxmin import solve_rates as _solve_rates
 from repro.errors import NetworkError
 from repro.sim.kernel import Environment, Event
-from repro.sim.monitor import Monitor, MonitorSink
 from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.spans import Telemetry
 from repro.util.units import bytes_to_bits
@@ -327,19 +326,11 @@ class FlowNetwork:
     def __init__(
         self,
         env: Environment,
-        monitor: Monitor | None = None,
         *,
         incremental: bool = True,
         telemetry: Telemetry | None = None,
     ):
         self.env = env
-        self.monitor = monitor
-        if telemetry is None and monitor is not None:
-            # Legacy construction: callers that hand us a bare Monitor
-            # get a private hub whose only consumer is that monitor, so
-            # flow intervals/samples land exactly where they used to.
-            telemetry = Telemetry(clock=lambda: env.now)
-            telemetry.bind(monitor=MonitorSink(monitor))
         self.telemetry = telemetry
         metrics = telemetry.metrics if telemetry is not None else NULL_METRICS
         self._m_flows = metrics.counter("network.flows_completed")

@@ -55,13 +55,13 @@ from repro.engines.compute import ComputeModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.faults import ANY_TASK
 from repro.sim.kernel import Environment, Event, Interrupt
-from repro.sim.monitor import Monitor, MonitorSink
 from repro.telemetry.slo import SloEvaluator, SloProbe
 from repro.telemetry.spans import SpanHandle, Telemetry
 from repro.transfer.base import TransferProtocol, TransferRequest, TransferResult
 from repro.transfer.retry import TransferRetryPolicy
 from repro.transfer.scp import ScpModel
 from repro.transfer.staging import StagingPlan, TransferService
+from repro.util.stats import union_time
 
 
 @dataclass(frozen=True)
@@ -216,19 +216,18 @@ class SimulatedEngine:
           dies mid-stream (retried or surfaced per
           ``SimulationOptions.transfer_retry``).
 
-        ``telemetry`` plugs a :class:`~repro.telemetry.Telemetry` hub
-        into the run: the engine binds it to the sim clock and routes
-        the same span/event stream into this run's monitor, so one hub
-        shared across a sweep records every run (the ``--trace`` path).
-        Without it the engine builds a private hub whose only consumer
-        is the monitor, which keeps disabled-telemetry runs at the old
-        cost.
+        ``telemetry`` plugs a recording :class:`~repro.telemetry.Telemetry`
+        hub into the run: the engine binds it to the sim clock, so one
+        hub shared across a sweep records every run (the ``--trace``
+        path). Without it the engine records into a private hub. Either
+        way the transfer/execution decomposition is read back from this
+        run's slice of the span log, so a hub that does not record
+        (``NULL_TELEMETRY``, ``Telemetry()``) raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         env = Environment()
-        monitor = Monitor()
         run = _SimulatedRun(
             env=env,
-            monitor=monitor,
             engine=self,
             dataset=dataset,
             compute_model=compute_model,
@@ -271,7 +270,6 @@ class _SimulatedRun:
         self,
         *,
         env: Environment,
-        monitor: Monitor,
         engine: SimulatedEngine,
         dataset: Dataset,
         compute_model: ComputeModel,
@@ -301,7 +299,6 @@ class _SimulatedRun:
         telemetry: Telemetry | None = None,
     ):
         self.env = env
-        self.monitor = monitor
         self.engine = engine
         self.options = engine.options
         self.dataset = dataset
@@ -367,15 +364,24 @@ class _SimulatedRun:
         self.outputs_snapshotted = 0.0
 
         # The telemetry hub: a shared one (--trace) is re-bound to this
-        # run's clock/monitor; otherwise a private hub makes the monitor
-        # the sole consumer of the span stream.
-        tel = telemetry if telemetry is not None else Telemetry(clock=lambda: env.now)
+        # run's clock; otherwise the run records into a private hub.
+        # outcome() reads the Fig 6 unions back from the span log, so
+        # the hub must record.
+        if telemetry is not None and not telemetry.record:
+            raise ConfigurationError(
+                "the telemetry hub must record (Telemetry(record=True)): "
+                "the transfer/execution split is read from its span log"
+            )
+        tel = telemetry if telemetry is not None else Telemetry(record=True)
         tel.bind(
             clock=lambda: env.now,
             run=f"{dataset.name}:{self.controller.strategy.kind.value}",
-            monitor=MonitorSink(monitor),
         )
         self.telemetry = tel
+        #: Where this run's spans start in a hub shared across a sweep.
+        self._first_span = len(tel.spans)
+        #: Queue-depth samples are emitted only into a caller's hub.
+        self._sample_queue = telemetry is not None
         self._run_span: Optional[SpanHandle] = None
         self._h_exec = tel.metrics.histogram("task.exec_seconds")
         self.slo = (
@@ -538,7 +544,7 @@ class _SimulatedRun:
         provision_span = tel.start_span(
             "provision", parent=self._run_span, track="control"
         )
-        provisioner = Provisioner(env, self.monitor, tel)
+        provisioner = Provisioner(env, tel)
         cluster, ready = provisioner.provision(self.engine.spec)
         self.cluster = cluster
         self.provisioner = provisioner
@@ -563,7 +569,7 @@ class _SimulatedRun:
             else None
         )
         self.transfers = TransferService(
-            env, cluster.network, self.options.protocol, self.monitor,
+            env, cluster.network, self.options.protocol,
             telemetry=tel,
             retry_policy=self.options.transfer_retry,
             fault_model=fault_model,
@@ -643,7 +649,7 @@ class _SimulatedRun:
             )
             # frieda: allow[dropped-event] -- fire-and-forget daemon; joined via run_done
             env.process(self._heartbeat_sweep(), name="heartbeat-sweep")
-        if self.slo is not None or tel.record:
+        if self.slo is not None or self._sample_queue:
             # frieda: allow[dropped-event] -- fire-and-forget daemon; joined via run_done
             env.process(self._observe_loop(), name="observe")
         if self.failure_schedule is not None or self.failure_mttf is not None:
@@ -839,7 +845,7 @@ class _SimulatedRun:
             yield self.env.timeout(interval)
             if self.run_done.triggered:
                 return
-            if tel.record:
+            if self._sample_queue:
                 tel.event(
                     "queue.depth", self.scheduler.pending_count, track="control"
                 )
@@ -1343,12 +1349,22 @@ class _SimulatedRun:
         )
 
     # -- outcome ---------------------------------------------------------------
+    def _span_unions(self) -> dict[str, float]:
+        """Union time per Fig 6 span key over this run's span log slice."""
+        intervals: dict[str, list[tuple[float, float]]] = {
+            key: [] for key in ("transfer", "exec", "staging", "snapshot")
+        }
+        # Raw rows in SpanRecord field order: (id, parent, key, start, end, ...).
+        for row in self.telemetry.spans.rows(self._first_span):
+            bucket = intervals.get(row[2])
+            if bucket is not None:
+                bucket.append((row[3], row[4]))
+        return {key: union_time(pairs) for key, pairs in intervals.items()}
+
     def outcome(self) -> RunOutcome:
-        monitor = self.monitor
         sched = self.scheduler
         makespan = self.end_time - self.start_time
-        transfer_time = monitor.union_time("transfer")
-        execution_time = monitor.union_time("exec")
+        unions = self._span_unions()
         worker_busy = {
             wid: logic.busy_time for wid, logic in self.worker_logics.items()
         }
@@ -1366,8 +1382,8 @@ class _SimulatedRun:
             strategy=self.controller.strategy.kind,
             grouping=self.controller.grouping,
             makespan=makespan,
-            transfer_time=transfer_time,
-            execution_time=execution_time,
+            transfer_time=unions["transfer"],
+            execution_time=unions["exec"],
             tasks_total=summary["total"],
             tasks_completed=summary["completed"],
             tasks_failed=summary["failed"],
@@ -1378,7 +1394,7 @@ class _SimulatedRun:
             cost=cost,
             controller_events=list(self.controller.events),
             extra={
-                "staging_time": monitor.union_time("staging"),
+                "staging_time": unions["staging"],
                 "end_to_end": self.end_time,
                 "failures": [
                     e.detail for e in self.controller.events if e.kind == "WORKER_FAILED"
@@ -1390,7 +1406,7 @@ class _SimulatedRun:
                     e.kind == "MASTER_RECOVERED" for e in self.controller.events
                 ),
                 "outputs_snapshotted_bytes": self.outputs_snapshotted,
-                "snapshot_time": monitor.union_time("snapshot"),
+                "snapshot_time": unions["snapshot"],
                 "transfer_failures": sum(
                     1 for r in self.transfers.results if not r.ok
                 ),

@@ -24,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import hmac
 import json
+import math
 from typing import Any, Optional
 
 from repro.service.aio import AsyncServiceRuntime
@@ -49,12 +50,26 @@ class _RequestOverflow(Exception):
     """A header stream broke the caps (count or line length)."""
 
 
-def spec_from_json(body: dict[str, Any]) -> JobSpec:
+def _finite(value: Any) -> Optional[float]:
+    """``value`` as a finite float; None for non-numbers, bools, NaN,
+    infinities and ints too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def spec_from_json(body: Any) -> JobSpec:
     """Build a :class:`JobSpec` from the submit payload.
 
-    ``tasks`` is a list of byte sizes, or of ``{"size": n}`` objects —
-    one task group per entry.
+    ``tasks`` is a list of finite byte sizes, or of ``{"size": n}``
+    objects — one task group per entry.
     """
+    if not isinstance(body, dict):
+        raise ValueError("the request body must be a JSON object")
     tenant = body.get("tenant")
     name = body.get("name")
     tasks = body.get("tasks")
@@ -66,19 +81,17 @@ def spec_from_json(body: dict[str, Any]) -> JobSpec:
         raise ValueError("'tasks' must be a non-empty list")
     sizes: list[float] = []
     for i, task in enumerate(tasks):
-        if isinstance(task, (int, float)) and task >= 0:
-            sizes.append(float(task))
-        elif isinstance(task, dict) and isinstance(task.get("size"), (int, float)):
-            sizes.append(float(task["size"]))
-        else:
-            raise ValueError(f"task {i} must be a size or {{'size': n}}")
+        size = _finite(task.get("size") if isinstance(task, dict) else task)
+        if size is None or size < 0:
+            raise ValueError(f"task {i} must be a size or {{'size': n}}, n >= 0")
+        sizes.append(size)
     kind = body.get("kind", "compute")
     if kind not in ("compute", "transfer"):
         raise ValueError("'kind' must be 'compute' or 'transfer'")
-    cost = body.get("cost", 1.0)
-    if not isinstance(cost, (int, float)) or cost <= 0:
-        raise ValueError("'cost' must be a positive number")
-    return JobSpec.from_sizes(tenant, name, sizes, kind=kind, cost=float(cost))
+    cost = _finite(body.get("cost", 1.0))
+    if cost is None or cost <= 0:
+        raise ValueError("'cost' must be a positive finite number")
+    return JobSpec.from_sizes(tenant, name, sizes, kind=kind, cost=cost)
 
 
 class ServiceHttpServer:
@@ -230,8 +243,9 @@ class ServiceHttpServer:
     ) -> tuple[int, dict[str, Any]]:
         if path == "/jobs" and method == "POST":
             try:
-                body = json.loads(raw or b"{}")
-                spec = spec_from_json(body)
+                spec = spec_from_json(json.loads(raw or b"{}"))
+            except RecursionError:
+                return 400, {"error": "request body nested too deeply"}
             except (ValueError, TypeError) as exc:
                 return 400, {"error": str(exc)}
             ticket = self.runtime.submit(spec)

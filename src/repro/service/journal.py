@@ -176,10 +176,12 @@ def decode_records(
             return records, JournalDamage(offset, "crc mismatch", len(records)), offset
         try:
             payload = json.loads(body)
-        except ValueError:
+        except (ValueError, RecursionError):
             return records, JournalDamage(offset, "unparsable body", len(records)), offset
         if not isinstance(payload, dict) or payload.get("k") not in RECORD_KINDS:
             return records, JournalDamage(offset, "unknown record kind", len(records)), offset
+        if payload["k"] == SNAPSHOT and not isinstance(payload.get("state"), dict):
+            return records, JournalDamage(offset, "snapshot without state", len(records)), offset
         records.append(payload)
         offset = body_start + length
     return records, None, offset

@@ -8,8 +8,7 @@ The cloud substrate (:mod:`repro.cloud`) and the simulated FRIEDA engine
 - :class:`Process` — generator-based coroutine processes with
   :meth:`Process.interrupt` (used for VM failure injection),
 - resources (:class:`Resource`, :class:`Container`, :class:`Store`,
-  :class:`FilterStore`) with FIFO queueing,
-- :class:`Monitor` for time-series instrumentation.
+  :class:`FilterStore`) with FIFO queueing.
 
 Example::
 
@@ -34,7 +33,6 @@ from repro.sim.kernel import (
     Timeout,
 )
 from repro.sim.resources import Container, FilterStore, Resource, Store
-from repro.sim.monitor import Monitor, TraceRecord
 
 __all__ = [
     "AllOf",
@@ -48,6 +46,4 @@ __all__ = [
     "FilterStore",
     "Resource",
     "Store",
-    "Monitor",
-    "TraceRecord",
 ]

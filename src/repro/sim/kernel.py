@@ -413,7 +413,7 @@ class Environment:
         #: safe only while its head is strictly below this boundary.
         self._far_next = _INF
         #: Optional callables invoked as ``tracer(env, event)`` right
-        #: before each event's callbacks run (used by Monitor).
+        #: before each event's callbacks run.
         self.tracers: list[Callable[["Environment", Event], None]] = []
 
     @property

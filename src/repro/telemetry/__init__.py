@@ -9,9 +9,9 @@ One hub (:class:`Telemetry`) carries three kinds of signal:
   a :class:`MetricsRegistry` (``metrics``).
 
 The simulated engine binds the hub to the virtual clock; the threaded
-runtime binds a wall clock.  The sim :class:`~repro.sim.monitor.Monitor`
-consumes the same stream through a sink adapter, so Figure 6/7 math
-keeps reading monitor intervals while ``--trace`` exports the full
+runtime binds a wall clock.  A recording hub's span log is the one
+record of a run: the simulated engine reads its Figure 6/7 transfer
+and execution unions from it, and ``--trace`` exports it as the
 Perfetto tree.  When nothing is listening, use :data:`NULL_TELEMETRY`
 — every call is a no-op and hot paths stay untouched.
 """
@@ -47,7 +47,6 @@ from repro.telemetry.spans import (
     SpanHandle,
     SpanRecord,
     Telemetry,
-    TelemetrySink,
 )
 
 __all__ = [
@@ -69,7 +68,6 @@ __all__ = [
     "Telemetry",
     "TelemetryMerger",
     "TelemetryShipper",
-    "TelemetrySink",
     "chrome_trace",
     "decode_batch",
     "dump_chrome_trace",

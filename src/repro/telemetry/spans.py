@@ -14,9 +14,9 @@ Design constraints, in order:
   so an ambient "current span" stack would cross-wire parents between
   concurrent generators.  Parents are passed by handle instead.
 * **Zero cost when disabled.**  :data:`NULL_TELEMETRY` no-ops every
-  method, and a recording hub only retains records when ``record=True``
-  — sinks (e.g. the :class:`~repro.sim.monitor.Monitor` adapter) still
-  see the stream either way.
+  method, and a hub only retains records when ``record=True``.  The
+  span log is the one record of a run: the simulated engine derives
+  its Figure 6 decomposition from its own slice of it.
 
 The hub is plane-agnostic: the simulated engine binds ``env.now``, the
 threaded runtime binds a wall clock.  Emission (`span_complete`,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterator
 
 from repro.telemetry.metrics import MetricsRegistry, NULL_METRICS
 
@@ -106,6 +106,13 @@ class RecordLog:
     def __len__(self) -> int:
         return len(self._blocks) * self.SLAB + self._fill
 
+    def rows(self, start: int = 0) -> Iterator[tuple]:
+        """Raw field tuples from index ``start`` on, no record built."""
+        first, skip = divmod(start, self.SLAB)
+        blocks = [*self._blocks[first:], self._slab[: self._fill]]
+        blocks[0] = blocks[0][skip:]
+        return itertools.chain.from_iterable(blocks)
+
     def _row(self, index: int) -> tuple:
         block, slot = divmod(index, self.SLAB)
         if block < len(self._blocks):
@@ -150,14 +157,6 @@ class RecordLog:
 
     def __repr__(self) -> str:
         return f"RecordLog({list(self)!r})"
-
-
-class TelemetrySink(Protocol):
-    """Consumer of the live span/event stream (e.g. the sim Monitor)."""
-
-    def on_span(self, span: SpanRecord) -> None: ...
-
-    def on_event(self, event: EventRecord) -> None: ...
 
 
 class SpanHandle:
@@ -205,12 +204,11 @@ def _parent_id(parent: "SpanHandle | SpanRecord | int | None") -> int | None:
 
 
 class Telemetry:
-    """The hub: allocates spans, fans records out to sinks.
+    """The hub: allocates spans and, with ``record=True``, logs them.
 
     ``clock`` is any zero-argument callable; :meth:`bind` rebinds it
-    (plus the run label and the per-run monitor sink) when a hub is
-    shared across several engine runs, e.g. one ``--trace`` file for a
-    whole strategy sweep.
+    (plus the run label) when a hub is shared across several engine
+    runs, e.g. one ``--trace`` file for a whole strategy sweep.
     """
 
     def __init__(
@@ -226,8 +224,6 @@ class Telemetry:
         self.metrics = MetricsRegistry()
         self.spans: RecordLog = RecordLog(SpanRecord)
         self.events: RecordLog = RecordLog(EventRecord)
-        self._sinks: list[TelemetrySink] = []
-        self._monitor_sink: TelemetrySink | None = None
         self._ids = itertools.count(1)
 
     # -- wiring -------------------------------------------------------------
@@ -237,29 +233,12 @@ class Telemetry:
         *,
         clock: Callable[[], float] | None = None,
         run: str | None = None,
-        monitor: TelemetrySink | None = None,
     ) -> None:
-        """Attach this hub to a (new) run.
-
-        The monitor sink is a single replaceable slot — each engine run
-        swaps in an adapter for *its* monitor, so a hub shared across a
-        sweep never leaks one run's spans into another run's figures.
-        """
+        """Attach this hub to a (new) run."""
         if clock is not None:
             self.clock = clock
         if run is not None:
             self.run = run
-        if monitor is not None:
-            self._monitor_sink = monitor
-
-    def add_sink(self, sink: TelemetrySink) -> None:
-        """Register a persistent sink (kept across :meth:`bind` calls)."""
-        self._sinks.append(sink)
-
-    @property
-    def enabled(self) -> bool:
-        """True when emitting has any observable effect."""
-        return self.record or self._monitor_sink is not None or bool(self._sinks)
 
     # -- span API -----------------------------------------------------------
 
@@ -354,31 +333,13 @@ class Telemetry:
         )
         if self.record:
             self.events._append_fields(fields)
-        sink = self._monitor_sink
-        if sink is not None or self._sinks:
-            record = EventRecord(*fields)
-            if sink is not None:
-                sink.on_event(record)
-            for extra in self._sinks:
-                extra.on_event(record)
 
     # -- internals ----------------------------------------------------------
 
     def _emit_span(self, fields: tuple) -> None:
-        """Record/fan out one finished span, given its raw field tuple.
-
-        The :class:`SpanRecord` is only built when a sink needs it —
-        record-only runs (``--trace`` exports) stay on the tuple path.
-        """
+        """Record one finished span, given its raw field tuple."""
         if self.record:
             self.spans._append_fields(fields)
-        sink = self._monitor_sink
-        if sink is not None or self._sinks:
-            record = SpanRecord(*fields)
-            if sink is not None:
-                sink.on_span(record)
-            for extra in self._sinks:
-                extra.on_span(record)
 
 
 class _NullSpanHandle(SpanHandle):
@@ -409,15 +370,8 @@ class NullTelemetry(Telemetry):
         super().__init__()
         self.metrics = NULL_METRICS
 
-    @property
-    def enabled(self) -> bool:
-        return False
-
     def bind(self, **kwargs: Any) -> None:  # type: ignore[override]
         pass
-
-    def add_sink(self, sink: TelemetrySink) -> None:
-        raise ValueError("cannot attach sinks to NULL_TELEMETRY")
 
     def span(self, key: str, **kwargs: Any) -> SpanHandle:  # type: ignore[override]
         return _NULL_SPAN

@@ -19,7 +19,6 @@ from repro.cloud.failures import TransferFaultModel
 from repro.cloud.network import FlowNetwork
 from repro.errors import TransferError
 from repro.sim.kernel import Environment
-from repro.sim.monitor import Monitor, MonitorSink
 from repro.sim.resources import Resource
 from repro.telemetry.metrics import NULL_METRICS
 from repro.telemetry.spans import SpanHandle, Telemetry
@@ -43,7 +42,6 @@ class TransferService:
         env: Environment,
         network: FlowNetwork,
         protocol: TransferProtocol,
-        monitor: Monitor | None = None,
         telemetry: Telemetry | None = None,
         *,
         retry_policy: TransferRetryPolicy | None = None,
@@ -53,15 +51,9 @@ class TransferService:
         self.env = env
         self.network = network
         self.protocol = protocol
-        self.monitor = monitor
         self.retry_policy = retry_policy or TransferRetryPolicy.paper_faithful()
         self.fault_model = fault_model
         self._backoff_rng = make_rng(seed, "transfer-backoff")
-        if telemetry is None and monitor is not None:
-            # Legacy construction: adapt the bare monitor so "transfer"
-            # intervals land exactly where they always did.
-            telemetry = Telemetry(clock=lambda: env.now)
-            telemetry.bind(monitor=MonitorSink(monitor))
         self.telemetry = telemetry
         metrics = telemetry.metrics if telemetry is not None else NULL_METRICS
         self._m_count = metrics.counter("transfer.count")

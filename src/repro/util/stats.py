@@ -10,8 +10,7 @@ from typing import Iterable, Sequence
 class RunningStats:
     """Welford online mean/variance accumulator.
 
-    Used by simulation monitors so long traces do not need to be kept in
-    memory just to report a mean utilization.
+    Long traces do not need to be kept in memory just to report a mean.
     """
 
     def __init__(self) -> None:
@@ -81,6 +80,29 @@ def percentile(values: Sequence[float], q: float) -> float:
     # Additive form keeps the result inside [ordered[low], ordered[high]]
     # even under floating-point rounding.
     return ordered[low] + frac * (ordered[high] - ordered[low])
+
+
+def union_time(intervals: Iterable[tuple[float, float]]) -> float:
+    """Duration of the union of ``(start, end)`` intervals.
+
+    Overlaps are merged, so this answers "for how long was *any*
+    transfer in flight" when flows overlap.  Intervals are sorted
+    first, which fixes the summation order whatever order they come in.
+    """
+    total = 0.0
+    current_start: float | None = None
+    current_end = 0.0
+    for start, end in sorted(intervals):
+        if current_start is None:
+            current_start, current_end = start, end
+        elif start <= current_end:
+            current_end = max(current_end, end)
+        else:
+            total += current_end - current_start
+            current_start, current_end = start, end
+    if current_start is not None:
+        total += current_end - current_start
+    return total
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

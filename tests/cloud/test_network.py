@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.sim import Environment
-from repro.sim.monitor import Monitor
+from repro.telemetry import Telemetry
 from repro.cloud.network import Flow, FlowNetwork, Link, Route, max_min_rates
 from repro.util.units import MB, Mbit
 
@@ -21,6 +21,10 @@ def _transfer(env, net, path, nbytes, **kw):
     p = env.process(proc(env))
     env.run()
     return p.value
+
+
+def _flow_spans(tel, tag):
+    return [s for s in tel.spans if s.key == "flow" and dict(s.tags)["tag"] == tag]
 
 
 class TestLink:
@@ -104,26 +108,24 @@ class TestSingleFlow:
     def test_zero_volume_records_monitor_interval(self):
         """Control messages (0 bytes) still show up in the flow trace."""
         env = Environment()
-        monitor = Monitor()
-        net = FlowNetwork(env, monitor)
+        tel = Telemetry(lambda: env.now, record=True)
+        net = FlowNetwork(env, telemetry=tel)
         net.add_link("l", 100 * Mbit, latency_s=0.25)
         _transfer(env, net, ["l"], 0, tag="ctrl")
-        intervals = monitor.intervals_for("flow", tag="ctrl")
-        assert len(intervals) == 1
-        assert intervals[0].tags["nbytes"] == 0.0
-        assert intervals[0].end - intervals[0].start == pytest.approx(0.25)
+        (span,) = _flow_spans(tel, "ctrl")
+        assert dict(span.tags)["nbytes"] == 0.0
+        assert span.duration == pytest.approx(0.25)
 
     def test_zero_volume_instant_records_monitor_interval(self):
         """Even a 0-byte, 0-latency transfer leaves a trace record."""
         env = Environment()
-        monitor = Monitor()
-        net = FlowNetwork(env, monitor)
+        tel = Telemetry(lambda: env.now, record=True)
+        net = FlowNetwork(env, telemetry=tel)
         net.add_link("l", 100 * Mbit)
         net.start_flow(["l"], 0, tag="ping")
-        intervals = monitor.intervals_for("flow", tag="ping")
-        assert len(intervals) == 1
-        assert intervals[0].tags["nbytes"] == 0.0
-        assert intervals[0].start == intervals[0].end == 0.0
+        (span,) = _flow_spans(tel, "ping")
+        assert dict(span.tags)["nbytes"] == 0.0
+        assert span.start == span.end == 0.0
 
     def test_negative_volume_rejected(self):
         net = FlowNetwork(Environment())

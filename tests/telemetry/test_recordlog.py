@@ -81,3 +81,10 @@ def test_telemetry_hub_round_trip_through_slabs(monkeypatch):
     assert all(isinstance(e, EventRecord) for e in hub.events)
     # Spans closed in order, so ends are monotone within the log.
     assert [s.span_id for s in hub.spans] == sorted(s.span_id for s in hub.spans)
+
+
+@pytest.mark.parametrize("n", [0, 3, 4, 5, 8, 11])
+def test_rows_from_every_offset_are_the_raw_fields(n):
+    log = _log(n)
+    for start in range(n + 1):
+        assert list(log.rows(start)) == [_fields(i) for i in range(start, n)]

@@ -1,8 +1,5 @@
-"""Unit tests for the telemetry hub: spans, events, sinks, null path."""
+"""Unit tests for the telemetry hub: spans, events, rebinding, null path."""
 
-import pytest
-
-from repro.sim.monitor import Monitor, MonitorSink
 from repro.telemetry import (
     NULL_TELEMETRY,
     SpanRecord,
@@ -79,34 +76,6 @@ class TestSpanLifecycle:
 
 
 class TestBindAndSinks:
-    def test_monitor_sink_receives_span_as_interval(self):
-        monitor = Monitor()
-        tel = Telemetry(FakeClock())
-        tel.bind(monitor=MonitorSink(monitor))
-        tel.span_complete("transfer", 1.0, 4.0, file="a.bin")
-        (interval,) = monitor.intervals_for("transfer")
-        assert (interval.start, interval.end) == (1.0, 4.0)
-        assert interval.tags == {"file": "a.bin"}
-
-    def test_monitor_sink_receives_event_as_sample(self):
-        monitor = Monitor()
-        tel = Telemetry(FakeClock())
-        tel.bind(monitor=MonitorSink(monitor))
-        tel.event("queue", 7, time=2.0)
-        assert monitor.series("queue") == [(2.0, 7)]
-
-    def test_rebind_replaces_monitor_sink(self):
-        # A hub shared across a sweep must not leak run A's spans into
-        # run B's monitor.
-        first, second = Monitor(), Monitor()
-        tel = Telemetry(FakeClock())
-        tel.bind(monitor=MonitorSink(first))
-        tel.span_complete("exec", 0, 1)
-        tel.bind(monitor=MonitorSink(second))
-        tel.span_complete("exec", 1, 2)
-        assert len(first.intervals_for("exec")) == 1
-        assert len(second.intervals_for("exec")) == 1
-
     def test_rebind_run_label_stamps_subsequent_records(self):
         tel = Telemetry(FakeClock(), record=True)
         tel.bind(run="als:real_time")
@@ -118,34 +87,8 @@ class TestBindAndSinks:
             "als:pre_partitioned_remote",
         ]
 
-    def test_persistent_sinks_survive_rebinding(self):
-        seen = []
-
-        class Sink:
-            def on_span(self, span):
-                seen.append(span.key)
-
-            def on_event(self, event):
-                pass
-
-        tel = Telemetry(FakeClock())
-        tel.add_sink(Sink())
-        tel.bind(monitor=MonitorSink(Monitor()))
-        tel.span_complete("a", 0, 1)
-        tel.bind(monitor=MonitorSink(Monitor()))
-        tel.span_complete("b", 1, 2)
-        assert seen == ["a", "b"]
-
-    def test_enabled_reflects_consumers(self):
-        tel = Telemetry(FakeClock())
-        assert not tel.enabled
-        tel.bind(monitor=MonitorSink(Monitor()))
-        assert tel.enabled
-        assert Telemetry(FakeClock(), record=True).enabled
-
     def test_record_false_keeps_no_lists(self):
         tel = Telemetry(FakeClock())
-        tel.bind(monitor=MonitorSink(Monitor()))
         tel.span_complete("exec", 0, 1)
         tel.event("x")
         assert tel.spans == [] and tel.events == []
@@ -160,14 +103,9 @@ class TestNullTelemetry:
         assert NULL_TELEMETRY.span_complete("x", 0, 1) is None
         NULL_TELEMETRY.event("x", 1)
         NULL_TELEMETRY.bind(run="ignored")
-        assert not NULL_TELEMETRY.enabled
         assert NULL_TELEMETRY.spans == [] and NULL_TELEMETRY.events == []
 
     def test_null_metrics_attached(self):
         counter = NULL_TELEMETRY.metrics.counter("whatever")
         counter.inc()
         assert len(NULL_TELEMETRY.metrics) == 0
-
-    def test_sinks_rejected(self):
-        with pytest.raises(ValueError):
-            NULL_TELEMETRY.add_sink(object())

@@ -5,7 +5,7 @@ import pytest
 from repro.cloud.network import FlowNetwork
 from repro.errors import TransferError
 from repro.sim import Environment
-from repro.sim.monitor import Monitor
+from repro.telemetry import Telemetry
 from repro.transfer.base import TransferProtocol, TransferRequest
 from repro.transfer.gridftp import GridFtpModel
 from repro.transfer.scp import ScpModel
@@ -23,11 +23,11 @@ class _Raw(TransferProtocol):
     per_stream_cap_bps = None
 
 
-def build(env, protocol, monitor=None):
+def build(env, protocol, telemetry=None):
     net = FlowNetwork(env)
     net.add_link("up", 100 * Mbit)
     net.add_link("down", 100 * Mbit)
-    return net, TransferService(env, net, protocol, monitor)
+    return net, TransferService(env, net, protocol, telemetry)
 
 
 class TestTransferService:
@@ -87,15 +87,15 @@ class TestTransferService:
 
     def test_monitor_intervals_emitted(self):
         env = Environment()
-        monitor = Monitor()
-        _net, service = build(env, _Raw(), monitor)
+        tel = Telemetry(lambda: env.now, record=True)
+        _net, service = build(env, _Raw(), tel)
 
         def proc(env):
             yield env.process(service.transfer(TransferRequest("a", 1 * MB, ("up",))))
 
         env.process(proc(env))
         env.run()
-        assert len(monitor.intervals_for("transfer")) == 1
+        assert [s.key for s in tel.spans] == ["transfer"]
 
 
 class TestStagingPlan:

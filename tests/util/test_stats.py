@@ -10,6 +10,7 @@ from repro.util.stats import (
     coefficient_of_variation,
     percentile,
     summarize,
+    union_time,
 )
 
 
@@ -107,3 +108,46 @@ class TestCoefficientOfVariation:
     def test_known_value(self):
         cv = coefficient_of_variation([8, 12])
         assert cv == pytest.approx(2.828 / 10.0, abs=1e-3)
+
+
+class TestUnionTime:
+    def test_union_merges_overlaps(self):
+        assert union_time([(0, 4), (2, 6), (10, 11)]) == pytest.approx(7.0)
+
+    def test_union_empty_zero(self):
+        assert union_time([]) == 0.0
+
+    def test_union_identical_intervals(self):
+        assert union_time([(1, 3), (1, 3)]) == pytest.approx(2.0)
+
+    def test_union_touching_intervals(self):
+        assert union_time([(0, 2), (2, 5)]) == pytest.approx(5.0)
+
+    def test_union_zero_length_intervals(self):
+        assert union_time([(3, 3)]) == 0.0
+        # A zero-length interval inside a covered range adds nothing.
+        assert union_time([(3, 3), (0, 5), (2, 2)]) == pytest.approx(5.0)
+
+    def test_union_identical_starts_different_ends(self):
+        assert union_time([(1, 2), (1, 6), (1, 4)]) == pytest.approx(5.0)
+
+    def test_union_zero_length_touching_nonzero(self):
+        assert union_time([(2, 2), (2, 5)]) == pytest.approx(3.0)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 1000), st.integers(0, 100)), max_size=30
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_order_free_and_bounded(self, pairs, rng):
+        # Quarter-second grid: every sum below is exact in binary floats.
+        intervals = [(start / 4, (start + length) / 4) for start, length in pairs]
+        total = union_time(intervals)
+        shuffled = list(intervals)
+        rng.shuffle(shuffled)
+        assert total == union_time(shuffled)
+        assert total <= sum(end - start for start, end in intervals)
+        assert total >= max((end - start for start, end in intervals), default=0.0)
+        covered = {t for start, length in pairs for t in range(start, start + length)}
+        assert total == len(covered) / 4
