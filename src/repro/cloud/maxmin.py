@@ -29,15 +29,13 @@ setup cost is what dominates there.
 component has enough flows to amortize array construction; small
 components (the common case under incremental replanning) stay on the
 scalar path. When NumPy is unavailable the scalar path handles every
-size — same results, different speed. ``FRIEDA_SOLVER=python|numpy``
-forces one path (used by the equivalence tests and as an escape hatch).
+size — same results, different speed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -45,16 +43,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 
 try:  # NumPy is optional: the scalar path is always available.
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via FRIEDA_SOLVER=python
+except ImportError:  # pragma: no cover - the scalar path serves every size
     _np = None
 
 #: Components with at least this many flows go to the NumPy path; the
 #: crossover was measured on the clustered-churn micro-benchmark (array
 #: construction never pays back on rack-sized components).
 VECTOR_THRESHOLD = 64
-
-#: ``None`` → dispatch by size; ``"python"``/``"numpy"`` → force a path.
-FORCE: Optional[str] = os.environ.get("FRIEDA_SOLVER") or None
 
 #: Scratch-slot validity tokens (shared by solve setup and freeze
 #: rounds — any unique int will do).
@@ -72,10 +67,7 @@ def solve_rates(
     ``flows`` must be in canonical (flow-id) order; the result is a
     pure function of that order, link capacities, and per-flow caps.
     """
-    force = FORCE
-    if force == "python" or _np is None:
-        return _solve_py(flows, capacities)
-    if force == "numpy" or len(flows) >= VECTOR_THRESHOLD:
+    if _np is not None and len(flows) >= VECTOR_THRESHOLD:
         return _solve_np(flows, capacities)
     return _solve_py(flows, capacities)
 

@@ -31,6 +31,7 @@ from typing import Optional
 
 from repro.cloud.network import FlowNetwork
 from repro.errors import StorageError
+from repro.telemetry.metrics import Counter
 from repro.util.units import format_bytes
 
 
@@ -69,6 +70,10 @@ class StorageVolume:
         self._used = 0
         self._read_link = network.add_link(f"{name}.read", read_bps, read_latency)
         self._write_link = network.add_link(f"{name}.write", write_bps, write_latency)
+        # Per-tier counters, resolved on first use: rendering a labelled
+        # name per file would dominate the metrics cost of a wide run.
+        self._m_read: Optional[Counter] = None
+        self._m_write: Optional[tuple[Counter, Counter]] = None
 
     # -- paths -----------------------------------------------------------
     def read_path(self) -> tuple[str, ...]:
@@ -83,11 +88,15 @@ class StorageVolume:
         registry (per storage tier, matching the paper's tier
         comparison).  The byte movement itself is modelled by the flow
         network; this is the aggregate-counting side."""
-        telemetry = self.network.telemetry
-        if telemetry is not None:
-            telemetry.metrics.counter(
+        counter = self._m_read
+        if counter is None:
+            telemetry = self.network.telemetry
+            if telemetry is None:
+                return
+            counter = self._m_read = telemetry.metrics.counter(
                 "storage.read_bytes", tier=self.tier.value
-            ).inc(nbytes)
+            )
+        counter.inc(nbytes)
 
     # -- contents ----------------------------------------------------------
     @property
@@ -117,14 +126,19 @@ class StorageVolume:
             )
         self._contents[name] = size
         self._used += size
-        telemetry = self.network.telemetry
-        if telemetry is not None:
-            telemetry.metrics.counter(
-                "storage.write_bytes", tier=self.tier.value
-            ).inc(size)
-            telemetry.metrics.counter(
-                "storage.files_stored", tier=self.tier.value
-            ).inc()
+        counters = self._m_write
+        if counters is None:
+            telemetry = self.network.telemetry
+            if telemetry is None:
+                return
+            tier = self.tier.value
+            counters = self._m_write = (
+                telemetry.metrics.counter("storage.write_bytes", tier=tier),
+                telemetry.metrics.counter("storage.files_stored", tier=tier),
+            )
+        written, stored = counters
+        written.inc(size)
+        stored.inc()
 
     def remove_file(self, name: str) -> None:
         size = self._contents.pop(name, None)

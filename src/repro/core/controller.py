@@ -10,21 +10,30 @@ The controller owns configuration and membership, never data:
 4. it receives failure reports and elasticity requests, keeping an
    auditable event log.
 
-Engines call into this logic and perform the actual spawning/transport.
+It also owns the master-side lifecycle all three engines share: run
+set-up (:meth:`ControllerLogic.bind`, :meth:`ControllerLogic.start_master`),
+worker loss (:meth:`ControllerLogic.on_worker_lost`) and the common
+fields of the :class:`~repro.core.framework.RunOutcome`
+(:meth:`ControllerLogic.outcome`). Engines keep only their transport,
+clock and process model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.commands import CommandTemplate
 from repro.core.fault import FaultTracker, RetryPolicy
+from repro.core.framework import RunOutcome
 from repro.core.messages import SetPartitionInfo, StartMaster, WorkerFailed
+from repro.core.scheduler import MasterScheduler
 from repro.core.strategies import DataManagementStrategy, StrategyKind, strategy_for
 from repro.data.files import Dataset
 from repro.data.partition import PartitionGenerator, PartitionScheme, TaskGroup
 from repro.errors import ConfigurationError
+from repro.telemetry.slo import SloEvaluator, SloProbe
+from repro.telemetry.spans import NULL_TELEMETRY, Telemetry
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,42 @@ class ControllerLogic:
         # node_id → its plans, kept in lockstep with worker_plans so
         # per-node lookups stay O(1) at macro worker counts.
         self._plans_by_node: dict[str, list[WorkerPlan]] = {}
+        # One run's hub, clock, SLO probes and master: set by bind()
+        # and start_master().
+        self.telemetry: Telemetry = NULL_TELEMETRY
+        self.clock: Callable[[], float] = lambda: 0.0
+        self.dataset: Optional[Dataset] = None
+        self.slo: Optional[SloEvaluator] = None
+        self.scheduler: Optional[MasterScheduler] = None
+
+    # -- run set-up ----------------------------------------------------------
+    def bind(
+        self,
+        dataset: Dataset,
+        telemetry: Telemetry,
+        clock: Callable[[], float],
+        slo_probes: Sequence[SloProbe] = (),
+    ) -> None:
+        """Attach one run: the hub is re-bound to the engine's clock, so
+        everything recorded from here on is stamped in run time."""
+        telemetry.bind(clock=clock, run=f"{dataset.name}:{self.strategy.kind.value}")
+        self.dataset = dataset
+        self.telemetry = telemetry
+        self.clock = clock
+        self.slo = SloEvaluator(tuple(slo_probes), telemetry) if slo_probes else None
+
+    def start_master(self, time: float = 0.0) -> MasterScheduler:
+        """Partition the bound dataset and start the master over it."""
+        groups = self.generate_partitions(self.dataset, time)
+        self.scheduler = MasterScheduler(
+            groups,
+            self.strategy,
+            retry_policy=self.retry_policy,
+            fault_tracker=self.fault_tracker,
+            metrics=self.telemetry.metrics,
+            clock=self.clock,
+        )
+        return self.scheduler
 
     # -- control phase -------------------------------------------------------
     def log(self, time: float, kind: str, detail: str = "") -> None:
@@ -122,6 +167,49 @@ class ControllerLogic:
         return self.worker_plans
 
     # -- run-time reports -----------------------------------------------------
+    def declare_dead(self, node_id: str, reason: str, time: float) -> None:
+        """The liveness layer gave up on a silent node (or thread); the
+        engine follows with :meth:`on_worker_lost` for its workers."""
+        self.telemetry.event("node.declared_dead", node_id, track="control")
+        self.log(time, "NODE_DECLARED_DEAD", f"{node_id}: {reason}")
+
+    def on_worker_lost(
+        self,
+        worker_id: str,
+        node_id: str,
+        error: str,
+        time: float,
+        *,
+        trace: bool = False,
+    ) -> bool:
+        """A worker's VM, thread or connection is gone: the scheduler
+        requeues (or records lost) its in-flight and reserved tasks,
+        then the loss is logged and the worker isolated. ``trace`` also
+        records a ``worker.failed`` event between the two.
+
+        Returns False, changing nothing, for a worker already lost — a
+        heartbeat sweep and a broken connection can both report one
+        death.
+        """
+        if self.fault_tracker.is_lost(worker_id):
+            return False
+        requeued = self.scheduler.worker_lost(worker_id, error)
+        if trace:
+            self.telemetry.event(
+                "worker.failed", worker_id, track=f"worker:{worker_id}",
+                node=node_id, cause=error,
+            )
+        self.on_worker_failed(
+            WorkerFailed(
+                worker_id=worker_id,
+                node_id=node_id,
+                error=error,
+                tasks_in_flight=tuple(a.task_id for a in requeued),
+            ),
+            time,
+        )
+        return True
+
     def on_worker_failed(self, report: WorkerFailed, time: float = 0.0) -> None:
         """Failure report from the master (§II-D): record + isolate."""
         self.fault_tracker.record_loss(report.worker_id, report.error)
@@ -155,3 +243,27 @@ class ControllerLogic:
     @property
     def all_worker_ids(self) -> tuple[str, ...]:
         return tuple(w for plan in self.worker_plans for w in plan.worker_ids)
+
+    # -- outcome ---------------------------------------------------------------
+    def outcome(self, *, extra: dict[str, Any] | None = None, **fields: Any) -> RunOutcome:
+        """The run's :class:`RunOutcome`: configuration, task counts,
+        audit log and SLO breaches from here; timings, records and the
+        engine's own ``extra`` entries from the engine."""
+        summary = self.scheduler.summary()
+        breaches = self.slo.breaches if self.slo is not None else ()
+        return RunOutcome(
+            strategy=self.strategy.kind,
+            grouping=self.grouping,
+            tasks_total=summary["total"],
+            tasks_completed=summary["completed"],
+            tasks_failed=summary["failed"],
+            tasks_lost=summary["lost"],
+            controller_events=list(self.events),
+            extra={
+                **(extra or {}),
+                "slo_breaches": [
+                    (b.probe, b.signal, b.value, b.threshold) for b in breaches
+                ],
+            },
+            **fields,
+        )

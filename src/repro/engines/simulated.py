@@ -45,7 +45,6 @@ from repro.core.commands import CommandTemplate
 from repro.core.fault import RetryPolicy
 from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
 from repro.core.framework import RunOutcome, TaskRecord
-from repro.core.messages import WorkerFailed
 from repro.core.scheduler import Assignment, MasterScheduler
 from repro.core.strategies import StrategyKind
 from repro.core.worker import WorkerLogic
@@ -55,7 +54,7 @@ from repro.engines.compute import ComputeModel
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime.faults import ANY_TASK
 from repro.sim.kernel import Environment, Event, Interrupt
-from repro.telemetry.slo import SloEvaluator, SloProbe
+from repro.telemetry.slo import SloProbe
 from repro.telemetry.spans import SpanHandle, Telemetry
 from repro.transfer.base import TransferProtocol, TransferRequest, TransferResult
 from repro.transfer.retry import TransferRetryPolicy
@@ -313,7 +312,6 @@ class _SimulatedRun:
             retry_policy=retry_policy,
             isolate_after=isolate_after,
         )
-        self.retry_policy = retry_policy or RetryPolicy.paper_faithful()
         self.elasticity = elasticity
         self.failure_schedule = failure_schedule
         self.failure_mttf = failure_mttf
@@ -373,10 +371,7 @@ class _SimulatedRun:
                 "the transfer/execution split is read from its span log"
             )
         tel = telemetry if telemetry is not None else Telemetry(record=True)
-        tel.bind(
-            clock=lambda: env.now,
-            run=f"{dataset.name}:{self.controller.strategy.kind.value}",
-        )
+        self.controller.bind(dataset, tel, lambda: env.now, self.options.slo_probes)
         self.telemetry = tel
         #: Where this run's spans start in a hub shared across a sweep.
         self._first_span = len(tel.spans)
@@ -384,11 +379,6 @@ class _SimulatedRun:
         self._sample_queue = telemetry is not None
         self._run_span: Optional[SpanHandle] = None
         self._h_exec = tel.metrics.histogram("task.exec_seconds")
-        self.slo = (
-            SloEvaluator(self.options.slo_probes, tel)
-            if self.options.slo_probes
-            else None
-        )
         self.elasticity_mgr = ElasticityManager(
             policy=self.options.autoscale_policy, metrics=tel.metrics
         )
@@ -557,7 +547,7 @@ class _SimulatedRun:
         strategy = self.controller.strategy
 
         # 2. Control phase (Fig 4): partition generation + master start.
-        groups = self.controller.generate_partitions(self.dataset, env.now)
+        self.scheduler = self.controller.start_master(env.now)
         for f in self.dataset:
             self._file_index[f.name] = f
         for f in self.common_files:
@@ -574,14 +564,6 @@ class _SimulatedRun:
             retry_policy=self.options.transfer_retry,
             fault_model=fault_model,
             seed=self.options.seed,
-        )
-        self.scheduler = MasterScheduler(
-            groups,
-            strategy,
-            retry_policy=self.retry_policy,
-            fault_tracker=self.controller.fault_tracker,
-            metrics=tel.metrics,
-            clock=lambda: env.now,
         )
         # Detection → rescale: the moment fault isolation empties a
         # node, the elasticity manager learns true capacity.
@@ -649,7 +631,7 @@ class _SimulatedRun:
             )
             # frieda: allow[dropped-event] -- fire-and-forget daemon; joined via run_done
             env.process(self._heartbeat_sweep(), name="heartbeat-sweep")
-        if self.slo is not None or self._sample_queue:
+        if self.controller.slo is not None or self._sample_queue:
             # frieda: allow[dropped-event] -- fire-and-forget daemon; joined via run_done
             env.process(self._observe_loop(), name="observe")
         if self.failure_schedule is not None or self.failure_mttf is not None:
@@ -687,9 +669,9 @@ class _SimulatedRun:
         self._maybe_finish()
         yield self.run_done
         self.end_time = env.now
-        if self.slo is not None:
+        if self.controller.slo is not None:
             # Final look at the fully settled registry.
-            self.slo.evaluate(env.now)
+            self.controller.slo.evaluate(env.now)
         for vm in cluster.vms.values():
             vm.terminate()
         self._run_span.end(tasks=len(self.scheduler.completed))
@@ -849,8 +831,8 @@ class _SimulatedRun:
                 tel.event(
                     "queue.depth", self.scheduler.pending_count, track="control"
                 )
-            if self.slo is not None:
-                self.slo.evaluate(self.env.now)
+            if self.controller.slo is not None:
+                self.controller.slo.evaluate(self.env.now)
 
     def _node_connection_lost(self, node_id: str) -> bool:
         """Every clone on the node already reported loss (crash path)."""
@@ -862,22 +844,12 @@ class _SimulatedRun:
 
     def _declare_node_dead(self, node_id: str) -> None:
         now = self.env.now
-        self.telemetry.event("node.declared_dead", node_id, track="control")
-        self.controller.log(now, "NODE_DECLARED_DEAD", f"{node_id}: missed heartbeats")
-        faults = self.controller.fault_tracker
+        self.controller.declare_dead(node_id, "missed heartbeats", now)
         for wid, logic in self.worker_logics.items():
-            if logic.node_id != node_id or faults.is_lost(wid):
-                continue
-            requeued = self.scheduler.worker_lost(wid, "heartbeat: declared dead")
-            self.controller.on_worker_failed(
-                WorkerFailed(
-                    worker_id=wid,
-                    node_id=node_id,
-                    error="heartbeat: declared dead",
-                    tasks_in_flight=tuple(a.task_id for a in requeued),
-                ),
-                now,
-            )
+            if logic.node_id == node_id:
+                self.controller.on_worker_lost(
+                    wid, node_id, "heartbeat: declared dead", now
+                )
 
     def _on_worker_isolated(self, worker_id: str, health) -> None:
         """FaultTracker callback: once every clone on a node is
@@ -919,7 +891,7 @@ class _SimulatedRun:
                     if assignment is None and self.options.speculative and strategy.lazy:
                         assignment = sched.speculate_for(wid)
                     if assignment is None:
-                        if sched.done or not self.retry_policy.retry_on_worker_loss:
+                        if sched.done or not sched.retry_policy.retry_on_worker_loss:
                             break  # NO_MORE_DATA
                         # Retry extension: work may reappear; poll briefly.
                         yield env.timeout(max(self.options.control_rtt * 25, 0.05))
@@ -976,19 +948,8 @@ class _SimulatedRun:
                 # reports the loss. The task stays on the master's books
                 # until the heartbeat sweep declares this node dead.
                 return
-            requeued = sched.worker_lost(wid, str(interrupt.cause))
-            self.telemetry.event(
-                "worker.failed", wid, track=f"worker:{wid}",
-                node=vm.vm_id, cause=str(interrupt.cause),
-            )
-            self.controller.on_worker_failed(
-                WorkerFailed(
-                    worker_id=wid,
-                    node_id=vm.vm_id,
-                    error=str(interrupt.cause),
-                    tasks_in_flight=tuple(a.task_id for a in requeued),
-                ),
-                now,
+            self.controller.on_worker_lost(
+                wid, vm.vm_id, str(interrupt.cause), now, trace=True
             )
             self._maybe_finish()
 
@@ -1065,7 +1026,7 @@ class _SimulatedRun:
                 if assignment is None and self.options.speculative:
                     assignment = sched.speculate_for(wid)
                 if assignment is None:
-                    if sched.done or not self.retry_policy.retry_on_worker_loss:
+                    if sched.done or not sched.retry_policy.retry_on_worker_loss:
                         return None
                     yield env.timeout(max(self.options.control_rtt * 25, 0.05))
                     continue
@@ -1362,12 +1323,7 @@ class _SimulatedRun:
         return {key: union_time(pairs) for key, pairs in intervals.items()}
 
     def outcome(self) -> RunOutcome:
-        sched = self.scheduler
-        makespan = self.end_time - self.start_time
         unions = self._span_unions()
-        worker_busy = {
-            wid: logic.busy_time for wid, logic in self.worker_logics.items()
-        }
         cost = None
         if self.billing is not None:
             if self.cluster.shared_storage is not None:
@@ -1377,54 +1333,34 @@ class _SimulatedRun:
                     self.end_time,
                 )
             cost = self.billing.report(self.cluster)
-        summary = sched.summary()
-        return RunOutcome(
-            strategy=self.controller.strategy.kind,
-            grouping=self.controller.grouping,
-            makespan=makespan,
+        events = self.controller.events
+        results = self.transfers.results
+        return self.controller.outcome(
+            makespan=self.end_time - self.start_time,
             transfer_time=unions["transfer"],
             execution_time=unions["exec"],
-            tasks_total=summary["total"],
-            tasks_completed=summary["completed"],
-            tasks_failed=summary["failed"],
-            tasks_lost=summary["lost"],
-            bytes_transferred=sum(r.nbytes for r in self.transfers.results if r.ok),
+            bytes_transferred=sum(r.nbytes for r in results if r.ok),
             task_records=self.task_records,
-            worker_busy=worker_busy,
+            worker_busy={
+                wid: logic.busy_time for wid, logic in self.worker_logics.items()
+            },
             cost=cost,
-            controller_events=list(self.controller.events),
             extra={
                 "staging_time": unions["staging"],
                 "end_to_end": self.end_time,
-                "failures": [
-                    e.detail for e in self.controller.events if e.kind == "WORKER_FAILED"
-                ],
-                "master_failed": any(
-                    e.kind == "MASTER_FAILED" for e in self.controller.events
-                ),
-                "master_recovered": any(
-                    e.kind == "MASTER_RECOVERED" for e in self.controller.events
-                ),
+                "failures": [e.detail for e in events if e.kind == "WORKER_FAILED"],
+                "master_failed": any(e.kind == "MASTER_FAILED" for e in events),
+                "master_recovered": any(e.kind == "MASTER_RECOVERED" for e in events),
                 "outputs_snapshotted_bytes": self.outputs_snapshotted,
                 "snapshot_time": unions["snapshot"],
-                "transfer_failures": sum(
-                    1 for r in self.transfers.results if not r.ok
-                ),
-                "transfer_attempts": sum(r.attempts for r in self.transfers.results),
+                "transfer_failures": sum(1 for r in results if not r.ok),
+                "transfer_attempts": sum(r.attempts for r in results),
                 "link_faults": (
                     self.link_injector.faults_injected
                     if self.link_injector is not None
                     else 0
                 ),
                 "nodes_declared_dead": sorted(self._nodes_declared_dead),
-                "slo_breaches": (
-                    [
-                        (b.probe, b.signal, b.value, b.threshold)
-                        for b in self.slo.breaches
-                    ]
-                    if self.slo
-                    else []
-                ),
                 "metrics": self.telemetry.metrics.snapshot(),
             },
         )

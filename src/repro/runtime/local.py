@@ -26,14 +26,13 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.commands import CommandTemplate
 from repro.core.controller import ControllerLogic
 from repro.core.fault import RetryPolicy
 from repro.core.framework import RunOutcome, TaskRecord
 from repro.core.identity import RejoinIdMinter, scratch_name
-from repro.core.messages import WorkerFailed
 from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
 from repro.core.scheduler import MasterScheduler
 from repro.core.strategies import StrategyKind
@@ -43,7 +42,7 @@ from repro.data.partition import PartitionScheme
 from repro.errors import ConfigurationError
 from repro.runtime.faults import ANY_TASK
 from repro.telemetry.metrics import Histogram
-from repro.telemetry.slo import SloEvaluator, SloProbe
+from repro.telemetry.slo import SloProbe
 from repro.telemetry.spans import NULL_TELEMETRY, SpanHandle, Telemetry
 
 
@@ -100,6 +99,52 @@ def _as_dataset(inputs: Dataset | Sequence[str]) -> Dataset:
             DataFile(name=os.path.basename(path), size=os.path.getsize(path), path=path)
         )
     return Dataset("inputs", files)
+
+
+def start_real_run(
+    engine: Any,
+    inputs: Dataset | Sequence[str],
+    *,
+    telemetry: Telemetry | None,
+    slo_probes: Sequence[SloProbe],
+    hang_worker_on_task: dict[str, int],
+    **controller_options,
+) -> ControllerLogic:
+    """Master set-up shared by both real engines (``engine`` is the
+    :class:`ThreadedEngine` or :class:`~repro.runtime.tcp.TcpEngine`);
+    returns the controller with its run bound (hub, wall clock relative
+    to now, SLO probes) and its master started.
+
+    Hung workers are only detectable by heartbeat. Without a caller's
+    hub, probes get a private non-recording one: it keeps the gauges
+    real without paying for span retention.
+    """
+    if hang_worker_on_task and engine.heartbeat_interval <= 0:
+        raise ConfigurationError(
+            "hung workers are undetectable without heartbeats: "
+            f"set {type(engine).__name__}(heartbeat_interval=...) > 0"
+        )
+    dataset = _as_dataset(inputs)
+    controller = ControllerLogic(multicore=False, **controller_options)
+    if telemetry is not None:
+        tel = telemetry
+    elif slo_probes:
+        tel = Telemetry()
+    else:
+        tel = NULL_TELEMETRY
+    t_base = time.monotonic()
+    controller.bind(dataset, tel, lambda: time.monotonic() - t_base, slo_probes)
+    controller.start_master()
+    return controller
+
+
+def _mark_resident(logic: WorkerLogic, dataset: Dataset) -> None:
+    """Pre-partitioned local: every input is already on the worker (the
+    VM-image case), so it is marked resident and read in place."""
+    for file in dataset:
+        logic.receive_file(file.name)
+        if file.path is not None:
+            logic.path_overrides[file.name] = file.path
 
 
 @dataclass
@@ -170,50 +215,23 @@ class ThreadedEngine:
         under a fresh id minted by the shared rejoin policy
         (``local:0`` → ``local:0:r1``), mirroring the TCP engine.
         """
-        command = _as_command(command)
         crash_map = crash_worker_on_task or {}
         hang_map = hang_worker_on_task or {}
-        respawn_map = respawn_after_crash or {}
-        if hang_map and self.heartbeat_interval <= 0:
-            raise ConfigurationError(
-                "hung workers are undetectable without heartbeats: "
-                "set ThreadedEngine(heartbeat_interval=...) > 0"
-            )
-        dataset = _as_dataset(inputs)
-        controller = ControllerLogic(
+        controller = start_real_run(
+            self,
+            inputs,
+            telemetry=telemetry,
+            slo_probes=slo_probes,
+            hang_worker_on_task=hang_map,
             strategy=strategy,
             grouping=grouping,
             grouping_options=grouping_options,
-            command=command,
-            multicore=False,
+            command=_as_command(command),
             retry_policy=retry_policy,
             isolate_after=isolate_after,
         )
-        if telemetry is not None:
-            tel = telemetry
-        elif slo_probes:
-            # Probes resolve against live metrics; a private
-            # non-recording hub keeps the gauges real without paying
-            # for span retention.
-            tel = Telemetry()
-        else:
-            tel = NULL_TELEMETRY
-        t_base = time.monotonic()
-        clock = lambda: time.monotonic() - t_base  # noqa: E731
-        tel.bind(
-            clock=clock,
-            run=f"{dataset.name}:{controller.strategy.kind.value}",
-        )
-        groups = controller.generate_partitions(dataset)
-        scheduler = MasterScheduler(
-            groups,
-            controller.strategy,
-            retry_policy=retry_policy,
-            fault_tracker=controller.fault_tracker,
-            metrics=tel.metrics,
-            clock=clock,
-        )
-        slo = SloEvaluator(tuple(slo_probes), tel) if slo_probes else None
+        dataset, scheduler = controller.dataset, controller.scheduler
+        tel, clock = controller.telemetry, controller.clock
         # One condition guards all scheduler state: workers that find no
         # runnable task sleep on it and are woken when a peer reports an
         # outcome (the only transition that can create new work).
@@ -235,14 +253,20 @@ class ThreadedEngine:
         )
         started = time.monotonic()
         with tempfile.TemporaryDirectory(dir=self.scratch_root, prefix="frieda-") as root:
-            logics = {
-                wid: WorkerLogic(
-                    wid, "localhost", command, scratch_dir=os.path.join(root, wid.replace(":", "_"))
+            logics: dict[str, WorkerLogic] = {}
+
+            def add_logic(wid: str) -> WorkerLogic:
+                logic = logics[wid] = WorkerLogic(
+                    wid,
+                    "localhost",
+                    controller.command,
+                    scratch_dir=os.path.join(root, scratch_name(wid)),
                 )
-                for wid in worker_ids
-            }
-            for logic in logics.values():
                 os.makedirs(logic.scratch_dir, exist_ok=True)
+                return logic
+
+            for wid in worker_ids:
+                add_logic(wid)
 
             stage_seconds = 0.0
             if controller.strategy.staged_before_execution or controller.strategy.data_local_to_workers:
@@ -250,7 +274,7 @@ class ThreadedEngine:
                     "staging", parent=run_span, track="control", files=len(dataset)
                 )
                 t0 = time.monotonic()
-                self._stage_all(controller, scheduler, logics, dataset)
+                self._stage_all(controller, logics)
                 stage_seconds = time.monotonic() - t0
                 stage_span.end()
 
@@ -262,19 +286,15 @@ class ThreadedEngine:
             hang_release = threading.Event()
             status: dict[str, str] = {}
             outcomes: dict[str, _WorkerOutcome] = {}
-            threads = {
-                wid: threading.Thread(
+            threads: dict[str, threading.Thread] = {}
+            minter = RejoinIdMinter()
+
+            def spawn(wid: str) -> None:
+                thread = threading.Thread(
                     target=self._worker_main,
                     args=(
-                        logics[wid],
-                        scheduler,
-                        controller,
-                        wakeup,
-                        dataset,
-                        outcomes,
-                        tel,
-                        run_span,
-                        h_exec,
+                        logics[wid], scheduler, controller, wakeup,
+                        outcomes, tel, run_span, h_exec,
                     ),
                     kwargs=dict(
                         monitor=monitor,
@@ -287,113 +307,64 @@ class ThreadedEngine:
                     name=f"frieda-{wid}",
                     daemon=True,
                 )
-                for wid in worker_ids
-            }
-            minter = RejoinIdMinter()
+                if monitor is not None:
+                    with wakeup:
+                        monitor.beat(wid, clock())
+                status[wid] = "running"
+                threads[wid] = thread
+                thread.start()
 
-            def spawn_replacement(dead_wid: str) -> str:
+            def spawn_replacement(dead_wid: str) -> None:
                 """A crashed worker rejoins under a fresh minted id —
                 the same ``base:rN`` policy the TCP engine applies."""
                 fresh = minter.mint(dead_wid)
-                logic = WorkerLogic(
-                    fresh,
-                    "localhost",
-                    command,
-                    scratch_dir=os.path.join(root, scratch_name(fresh)),
-                )
-                os.makedirs(logic.scratch_dir, exist_ok=True)
+                logic = add_logic(fresh)
                 if controller.strategy.data_local_to_workers:
-                    for file in dataset:
-                        logic.receive_file(file.name)
-                        if file.path is not None:
-                            logic.path_overrides[file.name] = file.path
-                logics[fresh] = logic
-                thread = threading.Thread(
-                    target=self._worker_main,
-                    args=(
-                        logic, scheduler, controller, wakeup, dataset,
-                        outcomes, tel, run_span, h_exec,
-                    ),
-                    kwargs=dict(
-                        monitor=monitor,
-                        clock=clock,
-                        hang_release=hang_release,
-                        status=status,
-                    ),
-                    name=f"frieda-{fresh}",
-                    daemon=True,
-                )
+                    _mark_resident(logic, dataset)
                 with wakeup:
                     scheduler.register_worker(fresh)
-                    if monitor is not None:
-                        monitor.beat(fresh, clock())
-                status[fresh] = "running"
-                threads[fresh] = thread
                 tel.event("node.respawned", fresh, track="control")
-                thread.start()
-                return fresh
+                spawn(fresh)
 
             for wid in worker_ids:
-                if monitor is not None:
-                    monitor.beat(wid, clock())
-                status[wid] = "running"
-                threads[wid].start()
+                spawn(wid)
             self._watchdog(
-                threads, scheduler, controller, wakeup, monitor, clock, status,
-                hang_release, tel, slo,
-                respawn_map=respawn_map, spawn_replacement=spawn_replacement,
+                controller, threads, wakeup, monitor, status, hang_release,
+                respawn_map=respawn_after_crash or {},
+                spawn_replacement=spawn_replacement,
             )
-        if slo is not None:
+        if controller.slo is not None:
             # Final look at the fully settled registry.
-            slo.evaluate(clock())
+            controller.slo.evaluate(clock())
         makespan = time.monotonic() - started
         records = [r for o in outcomes.values() for r in o.records]
         records.sort(key=lambda r: (r.start, r.task_id))
-        summary = scheduler.summary()
-        run_span.end(tasks=summary["completed"])
+        run_span.end(tasks=len(scheduler.completed))
         lazy_transfer = sum(o.transfer_seconds for o in outcomes.values())
-        return RunOutcome(
-            strategy=controller.strategy.kind,
-            grouping=controller.grouping,
+        return controller.outcome(
             makespan=makespan,
             transfer_time=stage_seconds + lazy_transfer,
             execution_time=sum(o.busy_seconds for o in outcomes.values()),
-            tasks_total=summary["total"],
-            tasks_completed=summary["completed"],
-            tasks_failed=summary["failed"],
-            tasks_lost=summary["lost"],
             bytes_transferred=float(
-                sum(g.total_size for g in groups)
+                sum(g.total_size for g in controller.groups)
                 if not controller.strategy.data_local_to_workers
                 else 0
             ),
             task_records=records,
             worker_busy={wid: o.busy_seconds for wid, o in outcomes.items()},
-            controller_events=list(controller.events),
-            extra={
-                "slo_breaches": (
-                    [(b.probe, b.signal, b.value, b.threshold) for b in slo.breaches]
-                    if slo
-                    else []
-                ),
-            },
         )
 
     # -- supervision ---------------------------------------------------------
     def _watchdog(
         self,
-        threads: dict[str, threading.Thread],
-        scheduler: MasterScheduler,
         controller: ControllerLogic,
+        threads: dict[str, threading.Thread],
         wakeup: threading.Condition,
         monitor: HeartbeatMonitor | None,
-        clock: Callable[[], float],
         status: dict[str, str],
         hang_release: threading.Event,
-        tel: Telemetry,
-        slo: SloEvaluator | None = None,
-        respawn_map: dict[str, float] | None = None,
-        spawn_replacement: Callable[[str], str] | None = None,
+        respawn_map: dict[str, float],
+        spawn_replacement: Callable[[str], None],
     ) -> None:
         """Replace the blind ``join()`` loop: watch for worker deaths.
 
@@ -401,28 +372,21 @@ class ThreadedEngine:
         *exits* abruptly (injected crash) is the broken-connection twin
         and is reported immediately; a thread that stops beating while
         still alive (injected hang) is declared dead by the heartbeat
-        sweep. Both feed the same ``worker_lost`` → requeue → isolate
-        path, then idle peers are woken to absorb the requeued work.
+        sweep. Both feed the controller's ``on_worker_lost`` → requeue →
+        isolate path, then idle peers are woken to absorb the requeued
+        work.
         """
+        scheduler, tel = controller.scheduler, controller.telemetry  # frieda: allow[lock-outlier] -- run fields, set before threads start
+        clock, slo = controller.clock, controller.slo  # frieda: allow[lock-outlier] -- run fields, set before threads start
         handled: set[str] = set()
-        respawn_map = respawn_map or {}
         due_respawns: list[tuple[float, str]] = []
 
         def report_loss(wid: str, reason: str) -> None:
             handled.add(wid)
-            tel.event("node.declared_dead", wid, track="control")
             with wakeup:
-                controller.log(clock(), "NODE_DECLARED_DEAD", f"{wid}: {reason}")
-                requeued = scheduler.worker_lost(wid, reason)
-                controller.on_worker_failed(
-                    WorkerFailed(
-                        worker_id=wid,
-                        node_id="localhost",
-                        error=reason,
-                        tasks_in_flight=tuple(a.task_id for a in requeued),
-                    ),
-                    clock(),
-                )
+                now = clock()
+                controller.declare_dead(wid, reason, now)
+                controller.on_worker_lost(wid, "localhost", reason, now)
                 wakeup.notify_all()
 
         interval = self.heartbeat_interval if monitor is not None else 0.02
@@ -450,7 +414,7 @@ class ThreadedEngine:
                         with wakeup:
                             monitor.forget(wid)
                     report_loss(wid, "worker thread died")
-                    if wid in respawn_map and spawn_replacement is not None:
+                    if wid in respawn_map:
                         due_respawns.append((now + respawn_map[wid], wid))
                 elif monitor is not None:
                     # Graceful drain: silence after exit is not death.
@@ -486,11 +450,7 @@ class ThreadedEngine:
 
     # -- data management -----------------------------------------------------
     def _stage_all(
-        self,
-        controller: ControllerLogic,
-        scheduler: MasterScheduler,
-        logics: dict[str, WorkerLogic],
-        dataset: Dataset,
+        self, controller: ControllerLogic, logics: dict[str, WorkerLogic]
     ) -> None:
         """Up-front staging: copy each worker's data into its scratch.
 
@@ -502,16 +462,13 @@ class ThreadedEngine:
         strategy = controller.strategy
         for wid, logic in logics.items():
             if strategy.data_local_to_workers:
-                for file in dataset:
-                    logic.receive_file(file.name)
-                    if file.path is not None:
-                        logic.path_overrides[file.name] = file.path
+                _mark_resident(logic, controller.dataset)
                 continue
             wanted: list[DataFile] = []
             if strategy.replicate_all:
-                wanted = list(dataset)
+                wanted = list(controller.dataset)
             else:
-                for group in scheduler.planned_chunk(wid):
+                for group in controller.scheduler.planned_chunk(wid):
                     wanted.extend(group.files)
             for file in wanted:
                 self._copy_to_worker(file, logic)
@@ -534,7 +491,6 @@ class ThreadedEngine:
         scheduler: MasterScheduler,
         controller: ControllerLogic,
         wakeup: threading.Condition,
-        dataset: Dataset,
         outcomes: dict[str, _WorkerOutcome],
         tel: Telemetry = NULL_TELEMETRY,
         run_span: SpanHandle | None = None,

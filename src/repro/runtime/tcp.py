@@ -68,17 +68,15 @@ from repro.core.messages import (
     RequestData,
     ResendFile,
     TelemetryBatch,
-    WorkerFailed,
 )
 from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
-from repro.core.scheduler import MasterScheduler
 from repro.core.strategies import StrategyKind
 from repro.core.worker import WorkerLogic
 from repro.data.files import Dataset
 from repro.data.partition import PartitionScheme
 from repro.errors import ChecksumError, ConfigurationError, ProtocolError
 from repro.runtime.faults import ANY_TASK, FaultScript, FaultyChannel
-from repro.runtime.local import _as_command, _as_dataset, execute_command
+from repro.runtime.local import _as_command, execute_command, start_real_run
 from repro.runtime.protocol import (
     SMALL_PAYLOAD,
     Channel,
@@ -86,7 +84,7 @@ from repro.runtime.protocol import (
     telemetry_batch_message,
 )
 from repro.telemetry.shipping import TelemetryMerger, TelemetryShipper, decode_batch, encode_batch
-from repro.telemetry.slo import SloEvaluator, SloProbe
+from repro.telemetry.slo import SloProbe
 from repro.telemetry.spans import NULL_TELEMETRY, Telemetry
 
 _CONNECTION_ERRORS = (
@@ -196,38 +194,36 @@ class TcpEngine:
         - ``fault_script``: seeded wire perturbations
           (:class:`~repro.runtime.faults.FaultScript`).
         """
-        command = _as_command(command)
-        dataset = _as_dataset(inputs)
-        hang_map = hang_worker_on_task or {}
-        if hang_map and self.heartbeat_interval <= 0:
-            raise ConfigurationError(
-                "hung workers are undetectable without heartbeats: "
-                "set TcpEngine(heartbeat_interval=...) > 0"
-            )
         if fault_script is not None and self.reply_timeout <= 0:
             if any(r.action == "drop" for r in fault_script.rules):
                 raise ConfigurationError(
                     "dropped frames are unrecoverable without re-requests: "
                     "set TcpEngine(reply_timeout=...) > 0"
                 )
+        hang_map = hang_worker_on_task or {}
+        controller = start_real_run(
+            self,
+            inputs,
+            telemetry=telemetry,
+            slo_probes=slo_probes,
+            hang_worker_on_task=hang_map,
+            strategy=strategy,
+            grouping=grouping,
+            grouping_options=grouping_options,
+            command=_as_command(command),
+            retry_policy=retry_policy,
+            isolate_after=isolate_after,
+        )
         return asyncio.run(
             asyncio.wait_for(
                 self._run_async(
-                    dataset,
-                    command,
-                    strategy,
-                    grouping,
-                    grouping_options or {},
-                    retry_policy,
-                    isolate_after,
+                    controller,
                     crash_worker_on_task or {},
                     hang_map,
                     frozenset(crash_before_register),
                     respawn_after_crash or {},
                     crash_master_after_tasks,
                     fault_script,
-                    telemetry,
-                    tuple(slo_probes),
                 ),
                 timeout=self.run_timeout,
             )
@@ -236,55 +232,16 @@ class TcpEngine:
     # ------------------------------------------------------------------
     async def _run_async(
         self,
-        dataset: Dataset,
-        command: CommandTemplate,
-        strategy: StrategyKind | str,
-        grouping: PartitionScheme | str,
-        grouping_options: dict,
-        retry_policy: RetryPolicy | None,
-        isolate_after: int,
+        controller: ControllerLogic,
         crash_map: dict[str, int],
         hang_map: dict[str, int],
         pre_register_crashes: frozenset[str],
         respawn_map: dict[str, float],
         crash_master_after_tasks: int | None,
         fault_script: FaultScript | None,
-        telemetry: Telemetry | None,
-        slo_probes: tuple[SloProbe, ...],
     ) -> RunOutcome:
-        if telemetry is not None:
-            tel = telemetry
-        elif slo_probes:
-            # Probes resolve against live metrics; a private
-            # non-recording hub keeps the gauges real without paying
-            # for span retention.
-            tel = Telemetry()
-        else:
-            tel = NULL_TELEMETRY
-        t_base = time.monotonic()
-
-        def clock() -> float:
-            return time.monotonic() - t_base
-
-        controller = ControllerLogic(
-            strategy=strategy,
-            grouping=grouping,
-            grouping_options=grouping_options,
-            command=command,
-            multicore=False,
-            retry_policy=retry_policy,
-            isolate_after=isolate_after,
-        )
-        tel.bind(clock=clock, run=f"{dataset.name}:{controller.strategy.kind.value}")
-        groups = controller.generate_partitions(dataset)
-        scheduler = MasterScheduler(
-            groups,
-            controller.strategy,
-            retry_policy=retry_policy,
-            fault_tracker=controller.fault_tracker,
-            metrics=tel.metrics,
-            clock=clock,
-        )
+        dataset, scheduler = controller.dataset, controller.scheduler
+        tel, clock = controller.telemetry, controller.clock
         worker_ids = [f"tcp:{i}" for i in range(self.num_workers)]
         expected = [w for w in worker_ids if w not in pre_register_crashes]
         monitor = (
@@ -295,19 +252,14 @@ class TcpEngine:
         elasticity = ElasticityManager(metrics=tel.metrics)
         master = _Master(
             controller,
-            scheduler,
-            dataset,
             worker_ids,
-            clock=clock,
             registration_window=self.registration_window,
             heartbeats=monitor,
             heartbeat_interval=self.heartbeat_interval,
             elasticity=elasticity,
-            telemetry=tel,
             fault_script=fault_script,
             crash_after_tasks=crash_master_after_tasks,
             merger=TelemetryMerger(tel) if tel.record else None,
-            slo=SloEvaluator(slo_probes, tel) if slo_probes else None,
             observe_interval=self.telemetry_interval,
         )
         controller.fault_tracker.on_isolate = master.on_worker_isolated
@@ -335,44 +287,34 @@ class TcpEngine:
         minter = RejoinIdMinter()
 
         async def lifecycle(wid: str, root: str) -> None:
-            status = await _worker_client(
-                wid,
-                self.host,
-                port,
-                command,
-                os.path.join(root, wid.replace(":", "_")),
-                records,
-                command_timeout=self.command_timeout,
-                crash_on_task=crash_map.get(wid),
-                hang_on_task=hang_map.get(wid),
-                hang_release=hang_release,
-                crash_before_register=wid in pre_register_crashes,
-                heartbeat_interval=self.heartbeat_interval,
-                reply_timeout=self.reply_timeout,
-                max_payload_retries=self.max_payload_retries,
-                fault_script=fault_script,
-                telemetry_interval=self.telemetry_interval,
-            )
-            delay = respawn_map.get(wid)
-            if status == "crashed" and delay is not None and not master.run_done.is_set():
-                await asyncio.sleep(delay)
-                if master.run_done.is_set():
-                    return
-                fresh = minter.mint(wid)
-                await _worker_client(
-                    fresh,
+            """One worker slot: a life, then — after an injected crash
+            with a respawn delay — lives under fresh minted ids."""
+            life: Optional[str] = wid
+            while life is not None:
+                status = await _worker_client(
+                    life,
                     self.host,
                     port,
-                    command,
-                    os.path.join(root, scratch_name(fresh)),
+                    controller.command,
+                    os.path.join(root, scratch_name(life)),
                     records,
                     command_timeout=self.command_timeout,
+                    crash_on_task=crash_map.get(life),
+                    hang_on_task=hang_map.get(life),
+                    hang_release=hang_release,
+                    crash_before_register=life in pre_register_crashes,
                     heartbeat_interval=self.heartbeat_interval,
                     reply_timeout=self.reply_timeout,
                     max_payload_retries=self.max_payload_retries,
                     fault_script=fault_script,
                     telemetry_interval=self.telemetry_interval,
                 )
+                delay = respawn_map.get(life)
+                life = None
+                if status == "crashed" and delay is not None and not master.run_done.is_set():
+                    await asyncio.sleep(delay)
+                    if not master.run_done.is_set():
+                        life = minter.mint(wid)
 
         with tempfile.TemporaryDirectory(dir=self.scratch_root, prefix="frieda-tcp-") as root:
             workers = [asyncio.create_task(lifecycle(wid, root)) for wid in worker_ids]
@@ -415,25 +357,16 @@ class TcpEngine:
         clock_offsets: dict[str, float] = {}
         if master.merger is not None:
             clock_offsets = master.merger.fold()
-        if master.slo is not None:
-            master.slo.evaluate(clock())
-        summary = scheduler.summary()
-        run_span.end(tasks=summary["completed"])
+        if controller.slo is not None:
+            controller.slo.evaluate(clock())
+        run_span.end(tasks=len(scheduler.completed))
         records.sort(key=lambda r: (r.start, r.task_id))
-        return RunOutcome(
-            strategy=controller.strategy.kind,
-            grouping=controller.grouping,
+        return controller.outcome(
             makespan=makespan,
             transfer_time=master.transfer_seconds,
             execution_time=sum(r.duration for r in records if r.ok),
-            tasks_total=summary["total"],
-            tasks_completed=summary["completed"],
-            tasks_failed=summary["failed"],
-            tasks_lost=summary["lost"],
             bytes_transferred=float(master.bytes_sent),
             task_records=records,
-            worker_busy={},
-            controller_events=list(controller.events),
             extra={
                 "heartbeat_deaths": sorted(master.declared_dead),
                 "retransmits": master.retransmits,
@@ -448,14 +381,6 @@ class TcpEngine:
                 ),
                 "telemetry_batches_dropped": master.batches_dropped,
                 "clock_offsets": clock_offsets,
-                "slo_breaches": (
-                    [
-                        (b.probe, b.signal, b.value, b.threshold)
-                        for b in master.slo.breaches
-                    ]
-                    if master.slo
-                    else []
-                ),
             },
         )
 
@@ -466,36 +391,31 @@ class _Master:
     def __init__(
         self,
         controller: ControllerLogic,
-        scheduler: MasterScheduler,
-        dataset: Dataset,
         expected_workers: list[str],
         *,
-        clock: Callable[[], float],
         registration_window: float,
         heartbeats: HeartbeatMonitor | None,
         heartbeat_interval: float,
         elasticity: ElasticityManager,
-        telemetry: Telemetry,
         fault_script: FaultScript | None = None,
         crash_after_tasks: int | None = None,
         merger: TelemetryMerger | None = None,
-        slo: SloEvaluator | None = None,
         observe_interval: float = 0.25,
     ):
         self.controller = controller
-        self.scheduler = scheduler
-        self.dataset = dataset
+        self.scheduler = controller.scheduler
+        self.dataset = controller.dataset
         self.expected = set(expected_workers)
-        self.clock = clock
+        self.clock = controller.clock
         self.registration_window = registration_window
         self.heartbeats = heartbeats
         self.heartbeat_interval = heartbeat_interval
         self.elasticity = elasticity
-        self.telemetry = telemetry
+        self.telemetry = controller.telemetry
         self.fault_script = fault_script
         self.crash_after_tasks = crash_after_tasks
         self.merger = merger
-        self.slo = slo
+        self.slo = controller.slo
         self.observe_interval = observe_interval
         self.batches_dropped = 0
         self._ack_tasks: set[asyncio.Task] = set()
@@ -587,25 +507,12 @@ class _Master:
                 self.heartbeats.forget(wid)
                 continue
             self.declared_dead.add(wid)
-            self._declare_dead(wid, now)
+            self.controller.declare_dead(wid, "missed heartbeats", now)
+            self.controller.on_worker_lost(wid, wid, "heartbeat: declared dead", now)
+            channel = self.channels.get(wid)
+            if channel is not None:
+                channel.close()
         self._maybe_finish()
-
-    def _declare_dead(self, wid: str, now: float) -> None:
-        self.telemetry.event("node.declared_dead", wid, track="control")
-        self.controller.log(now, "NODE_DECLARED_DEAD", f"{wid}: missed heartbeats")
-        requeued = self.scheduler.worker_lost(wid, "heartbeat: declared dead")
-        self.controller.on_worker_failed(
-            WorkerFailed(
-                worker_id=wid,
-                node_id=wid,
-                error="heartbeat: declared dead",
-                tasks_in_flight=tuple(a.task_id for a in requeued),
-            ),
-            now,
-        )
-        channel = self.channels.get(wid)
-        if channel is not None:
-            channel.close()
 
     def _maybe_finish(self) -> None:
         if self._partitioned and self.scheduler.done:
@@ -769,19 +676,15 @@ class _Master:
                         await self._send_file(channel, wid, name, task_id=-1)
             await self._serve(wid, channel, pump)
         except _CONNECTION_ERRORS:
-            if wid and not self.crashed and not self.controller.fault_tracker.is_lost(wid):
+            if (
+                wid
+                and not self.crashed
+                and self.controller.on_worker_lost(
+                    wid, wid, "connection lost", self.clock()
+                )
+            ):
                 if self.heartbeats is not None:
                     self.heartbeats.forget(wid)
-                requeued = self.scheduler.worker_lost(wid, "connection lost")
-                self.controller.on_worker_failed(
-                    WorkerFailed(
-                        worker_id=wid,
-                        node_id=wid,
-                        error="connection lost",
-                        tasks_in_flight=tuple(a.task_id for a in requeued),
-                    ),
-                    self.clock(),
-                )
                 self._maybe_finish()
         finally:
             if pump is not None:

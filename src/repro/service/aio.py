@@ -79,7 +79,6 @@ class AsyncServiceRuntime:
             )
         self._time_scale = time_scale
         self._duration_fn = duration_fn
-        self._specs: dict[str, JobSpec] = {}
         self._tasks: set[asyncio.Task] = set()
 
     @classmethod
@@ -107,18 +106,14 @@ class AsyncServiceRuntime:
             snapshot_every=snapshot_every,
             **config,
         )
-        runtime = cls(
+        return cls(
             time_scale=time_scale,
             duration_fn=duration_fn,
             _service=service,
         )
-        for row in service.list_jobs():
-            job = service.job(row["job_id"])
-            runtime._specs[job.id] = job.spec
-        return runtime
 
     def _duration(self, lease: Lease) -> float:
-        spec = self._specs[lease.job_id]
+        spec = self.service.job(lease.job_id).spec
         if self._duration_fn is not None:
             return self._duration_fn(lease, spec)
         if spec.kind == "transfer":
@@ -140,8 +135,6 @@ class AsyncServiceRuntime:
     # -- tenant-facing surface ----------------------------------------------
     def submit(self, spec: JobSpec) -> dict[str, Any]:
         ticket = self.service.submit(spec)
-        if ticket["job_id"] is not None:
-            self._specs[ticket["job_id"]] = spec
         self._pump()
         return ticket
 

@@ -183,7 +183,6 @@ class ServiceSimulation:
             **self._service_config,
         )
         self.recoveries = 0
-        self._spec_of: dict[str, JobSpec] = {}
         self._fail_tasks = fail_tasks
         self._trace_usage = trace_usage
         #: ``(virtual_time, {tenant: worker_seconds})`` after each
@@ -205,8 +204,7 @@ class ServiceSimulation:
 
         Nothing is flushed or handed over — the old object is simply
         abandoned mid-load, which is the whole point of the chaos
-        harness.  The recovered incarnation re-learns the job specs
-        from its own rebuilt jobs.
+        harness.
         """
         self.service = ControlPlaneService.recover(
             self._store,
@@ -215,11 +213,6 @@ class ServiceSimulation:
             snapshot_every=self._snapshot_every,
             **self._service_config,
         )
-        self._spec_of = {
-            job.id: job.spec
-            for row in self.service.list_jobs()
-            for job in (self.service.job(row["job_id"]),)
-        }
         self.recoveries += 1
 
     def _push(self, when: float, kind: int, payload: Any) -> None:
@@ -228,7 +221,7 @@ class ServiceSimulation:
 
     def _assign(self) -> None:
         for lease in self.service.lease_free_workers():
-            spec = self._spec_of[lease.job_id]
+            spec = self.service.job(lease.job_id).spec
             duration = task_duration(lease, spec, seed=self._seed)
             self._push(self._now + duration, self._COMPLETE, lease)
 
@@ -239,10 +232,7 @@ class ServiceSimulation:
             when, _seq, kind, payload = heapq.heappop(self._events)
             self._now = when
             if kind == self._SUBMIT:
-                ticket = self.service.submit(payload)
-                tickets.append(ticket)
-                if ticket["job_id"] is not None:
-                    self._spec_of[ticket["job_id"]] = payload
+                tickets.append(self.service.submit(payload))
             elif kind == self._CRASH:
                 lease = self.service.pool.lease_of(payload)
                 if lease is not None or payload in self.service.pool.free_workers():

@@ -63,22 +63,6 @@ def test_scalar_and_numpy_paths_bitwise_identical(flows):
     assert _packed(py) == _packed(np_)
 
 
-@given(flow_sets())
-@settings(max_examples=50, deadline=None)
-def test_force_env_var_selects_each_path(flows):
-    # solve_rates under each FORCE value reproduces the direct calls.
-    old = maxmin.FORCE
-    try:
-        maxmin.FORCE = "python"
-        forced_py = maxmin.solve_rates(flows)
-        maxmin.FORCE = "numpy"
-        forced_np = maxmin.solve_rates(flows)
-    finally:
-        maxmin.FORCE = old
-    assert _packed(forced_py) == _packed(forced_np)
-    assert _packed(forced_py) == _packed(maxmin._solve_py(flows))
-
-
 def test_end_to_end_schedule_digest_solver_independent(monkeypatch):
     """A full simulated run is byte-identical under either solver path."""
     from repro.core.strategies import StrategyKind
@@ -94,8 +78,10 @@ def test_end_to_end_schedule_digest_solver_independent(monkeypatch):
         )
         return _schedule_digest(outcome)
 
-    monkeypatch.setattr(maxmin, "FORCE", "python")
+    # Every component below the threshold → scalar; every one at or
+    # above it → NumPy (when installed).
+    monkeypatch.setattr(maxmin, "VECTOR_THRESHOLD", 10**9)
     scalar_digest = run()
-    monkeypatch.setattr(maxmin, "FORCE", "numpy")
+    monkeypatch.setattr(maxmin, "VECTOR_THRESHOLD", 1)
     vector_digest = run()
     assert scalar_digest == vector_digest

@@ -1,14 +1,20 @@
 """Unit tests for the controller logic (control plane)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.commands import CommandTemplate
 from repro.core.controller import ControllerLogic
+from repro.core.fault import RetryPolicy
 from repro.core.messages import WorkerFailed
 from repro.core.strategies import StrategyKind
 from repro.data.files import synthetic_dataset
 from repro.data.partition import PartitionScheme
 from repro.errors import ConfigurationError
+from repro.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -98,3 +104,129 @@ class TestRuntimeReports:
         controller.plan_workers([("n0", 4), ("n1", 4)])
         controller.on_worker_removed("n0", time=10.0)
         assert [p.node_id for p in controller.worker_plans] == ["n1"]
+
+
+def _running(retry_policy=None, isolate_after=1):
+    """A bound controller with its master started over four one-file
+    tasks and two registered workers."""
+    controller = ControllerLogic(
+        grouping=PartitionScheme.SINGLE,
+        retry_policy=retry_policy,
+        isolate_after=isolate_after,
+    )
+    tel = Telemetry(record=True)
+    controller.bind(synthetic_dataset("d", 4, 10), tel, lambda: 0.0)
+    scheduler = controller.start_master()
+    for wid in ("w0", "w1"):
+        scheduler.register_worker(wid)
+    scheduler.partition_among()
+    return controller, scheduler, tel
+
+
+def _kinds(controller, kind):
+    return [e.detail for e in controller.events if e.kind == kind]
+
+
+class TestWorkerLost:
+    def test_in_flight_task_requeued_to_a_peer(self):
+        controller, scheduler, _ = _running(RetryPolicy.resilient())
+        task = scheduler.next_for("w0").task_id
+        assert controller.on_worker_lost("w0", "n0", "gone", 2.0)
+        assert not scheduler.has_in_flight("w0", task)
+        drawn = []
+        while (assignment := scheduler.next_for("w1")) is not None:
+            drawn.append(assignment.task_id)
+            scheduler.report_success("w1", assignment.task_id)
+        assert task in drawn
+        assert scheduler.done and scheduler.summary()["lost"] == 0
+
+    def test_paper_faithful_loss_records_the_task_lost(self):
+        controller, scheduler, _ = _running()
+        scheduler.next_for("w0")
+        controller.on_worker_lost("w0", "n0", "gone", 2.0)
+        assert scheduler.summary()["lost"] >= 1
+
+    def test_failure_logged_once_with_time_and_cause(self):
+        controller, _, _ = _running()
+        controller.on_worker_lost("w0", "n0", "gone", 2.0)
+        assert _kinds(controller, "WORKER_FAILED") == ["w0: gone"]
+        assert controller.events[-1].time == 2.0
+
+    def test_loss_isolates_below_the_error_threshold(self):
+        controller, scheduler, _ = _running(isolate_after=2)
+        isolated = []
+        controller.fault_tracker.on_isolate = lambda wid, _h: isolated.append(wid)
+        assert not controller.on_worker_error("w0", "flaky", 1.0)
+        assert isolated == []
+        controller.on_worker_lost("w0", "n0", "gone", 2.0)
+        assert isolated == ["w0"]
+        assert controller.fault_tracker.is_isolated("w0")
+        assert scheduler.next_for("w0") is None
+
+    def test_second_report_of_one_death_is_a_no_op(self):
+        # A heartbeat sweep and a broken connection can race to report
+        # the same worker.
+        controller, scheduler, tel = _running(RetryPolicy.resilient())
+        scheduler.next_for("w0")
+        assert controller.on_worker_lost("w0", "n0", "missed heartbeats", 1.0)
+        events = list(controller.events)
+        pending = scheduler.pending_count
+        assert not controller.on_worker_lost("w0", "n0", "connection lost", 2.0)
+        assert controller.events == events
+        assert scheduler.pending_count == pending
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["scheduler.workers_lost"] == 1
+        assert counters["scheduler.retried"] == 1
+
+    def test_trace_records_worker_failed_event(self):
+        controller, _, tel = _running()
+        controller.on_worker_lost("w0", "n0", "gone", 1.0)
+        assert [e.key for e in tel.events] == []
+        controller.on_worker_lost("w1", "n1", "vm crash", 1.0, trace=True)
+        (event,) = tel.events
+        assert (event.key, event.value) == ("worker.failed", "w1")
+
+    def test_declare_dead_logs_before_the_loss(self):
+        controller, _, tel = _running()
+        controller.declare_dead("n0", "missed heartbeats", 3.0)
+        controller.on_worker_lost("w0", "n0", "heartbeat: declared dead", 3.0)
+        assert [e.kind for e in controller.events[-2:]] == [
+            "NODE_DECLARED_DEAD",
+            "WORKER_FAILED",
+        ]
+        assert _kinds(controller, "NODE_DECLARED_DEAD") == ["n0: missed heartbeats"]
+        assert [e.key for e in tel.events] == ["node.declared_dead"]
+
+
+class TestOutcome:
+    def test_common_fields_come_from_the_controller(self):
+        controller, scheduler, _ = _running()
+        while (assignment := scheduler.next_for("w0")) is not None:
+            scheduler.report_success("w0", assignment.task_id)
+        outcome = controller.outcome(
+            makespan=1.0, transfer_time=0.0, execution_time=1.0, extra={"k": 1}
+        )
+        assert outcome.strategy is StrategyKind.REAL_TIME
+        assert outcome.grouping is PartitionScheme.SINGLE
+        assert (outcome.tasks_total, outcome.tasks_completed) == (4, 4)
+        assert outcome.extra == {"k": 1, "slo_breaches": []}
+        assert [e.kind for e in outcome.controller_events] == ["PARTITION_GENERATED"]
+
+
+class TestOneLossPath:
+    def test_engines_report_loss_only_through_the_controller(self):
+        """No engine or runtime module requeues a lost worker's tasks or
+        builds its failure report itself: ``ControllerLogic.on_worker_lost``
+        is the one path, so the three planes cannot drift apart again."""
+        package = Path(repro.__file__).parent
+        offenders = []
+        for sub in ("engines", "runtime"):
+            for path in sorted((package / sub).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name in ("worker_lost", "WorkerFailed"):
+                        offenders.append(f"{path.relative_to(package)}:{node.lineno} {name}")
+        assert offenders == []
