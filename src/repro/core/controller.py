@@ -12,7 +12,8 @@ The controller owns configuration and membership, never data:
 
 It also owns the master-side lifecycle all three engines share: run
 set-up (:meth:`ControllerLogic.bind`, :meth:`ControllerLogic.start_master`),
-worker loss (:meth:`ControllerLogic.on_worker_lost`) and the common
+worker loss (:meth:`ControllerLogic.on_worker_lost`), task errors on
+the real planes (:meth:`ControllerLogic.on_task_error`) and the common
 fields of the :class:`~repro.core.framework.RunOutcome`
 (:meth:`ControllerLogic.outcome`). Engines keep only their transport,
 clock and process model.
@@ -215,12 +216,21 @@ class ControllerLogic:
         self.fault_tracker.record_loss(report.worker_id, report.error)
         self.log(time, "WORKER_FAILED", f"{report.worker_id}: {report.error}")
 
-    def on_worker_error(self, worker_id: str, message: str, time: float = 0.0) -> bool:
-        isolated = self.fault_tracker.record_error(worker_id, message)
+    def on_task_error(
+        self, worker_id: str, task_id: int, message: str, time: float
+    ) -> bool:
+        """A task ended in error on a real worker (its program failed or
+        its inputs could not be staged): the scheduler records the error
+        once on the fault tracker and retries, fails or — past
+        ``isolate_after`` — drains the worker's reservation; the error
+        is logged, and so is the isolation it caused. Returns whether
+        the task will be retried."""
+        was_isolated = self.fault_tracker.is_isolated(worker_id)
+        retried = self.scheduler.report_error(worker_id, task_id, message)
         self.log(time, "WORKER_ERROR", f"{worker_id}: {message}")
-        if isolated:
+        if not was_isolated and self.fault_tracker.is_isolated(worker_id):
             self.log(time, "WORKER_ISOLATED", worker_id)
-        return isolated
+        return retried
 
     def on_worker_added(self, node_id: str, cores: int, time: float = 0.0) -> WorkerPlan:
         """Elastic join (§V-A): "Addition of any new worker goes through

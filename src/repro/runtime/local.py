@@ -3,15 +3,21 @@
 The execution plane is a pool of worker threads pulling from the shared
 :class:`~repro.core.scheduler.MasterScheduler` (guarded by one lock —
 the scheduler is the "master"). Data management is real: under the
-remote strategies input files are *copied* into per-worker scratch
-directories (staged up front or lazily per task, per the strategy), so
-a command only ever sees paths its worker owns — exactly the worker-
-local view workers have on the testbed.
+remote strategies input files are *linked* into per-worker scratch
+directories — copied across filesystems, or wherever the kernel
+refuses the link — staged up front or lazily per task, per the
+strategy. A command only ever sees paths its worker owns: exactly the
+worker-local view workers have on the testbed.
+
+Inputs are read-only to programs: a program reads its inputs and writes
+its outputs elsewhere. A linked scratch entry *is* the source file, so
+a program that rewrites an input in place rewrites the source.
 
 Programs are either Python callables (called with the input paths) or
-shell templates (run via ``subprocess``). A callable raising or a
-command exiting non-zero is a task error, reported to the controller
-and subject to the configured retry policy / isolation threshold.
+shell templates (run via ``subprocess``). A callable raising, a command
+exiting non-zero or an input that cannot be staged is a task error,
+reported to the controller and subject to the configured retry policy /
+isolation threshold.
 """
 
 from __future__ import annotations
@@ -88,6 +94,13 @@ def execute_command(
         return False, f"{type(exc).__name__}: {exc}"
 
 
+def fetch_error(names: Sequence[str], exc: OSError) -> str:
+    """The error of a task whose inputs could not be staged: the
+    simulated plane's ``fetch failed: <names>`` plus the kernel's
+    reason. Both real engines fail such a task with it."""
+    return f"fetch failed: {', '.join(names)} ({exc.strerror or exc})"
+
+
 def _as_dataset(inputs: Dataset | Sequence[str]) -> Dataset:
     if isinstance(inputs, Dataset):
         return inputs
@@ -155,7 +168,14 @@ class _WorkerOutcome:
 
 
 class ThreadedEngine:
-    """Real threaded master/worker execution on this machine."""
+    """Real threaded master/worker execution on this machine.
+
+    Inputs are staged by hard link into each worker's scratch directory
+    (under ``scratch_root``, default the system temp dir) and copied
+    only when the kernel refuses the link. Programs must treat their
+    inputs as read-only: an in-place rewrite of a linked input rewrites
+    the source.
+    """
 
     def __init__(
         self,
@@ -452,12 +472,15 @@ class ThreadedEngine:
     def _stage_all(
         self, controller: ControllerLogic, logics: dict[str, WorkerLogic]
     ) -> None:
-        """Up-front staging: copy each worker's data into its scratch.
+        """Up-front staging: link each worker's data into its scratch.
 
-        ``replicate_all`` (common-data mode) copies everything to every
+        ``replicate_all`` (common-data mode) stages everything to every
         worker; otherwise each worker receives its planned chunk.
         ``data_local_to_workers`` marks files as resident without
-        copying (the VM-image-baked case): workers use original paths.
+        staging (the VM-image-baked case): workers use original paths.
+        A file that fails to stage is left missing; the task that needs
+        it stages it again when drawn and fails as a task error if that
+        fails too.
         """
         strategy = controller.strategy
         for wid, logic in logics.items():
@@ -471,9 +494,16 @@ class ThreadedEngine:
                 for group in controller.scheduler.planned_chunk(wid):
                     wanted.extend(group.files)
             for file in wanted:
-                self._copy_to_worker(file, logic)
+                try:
+                    self._stage_to_worker(file, logic)
+                except OSError:
+                    continue
 
-    def _copy_to_worker(self, file: DataFile, logic: WorkerLogic) -> None:
+    def _stage_to_worker(self, file: DataFile, logic: WorkerLogic) -> None:
+        """Put one input in the worker's scratch: a hard link when the
+        kernel allows one, else a copy (``EXDEV`` across filesystems,
+        ``EPERM`` under ``protected_hardlinks`` or without link support,
+        ``EMLINK``). Raises ``OSError`` when neither works."""
         if logic.worker_id and file.name in logic.local_files:
             return
         if file.path is None:
@@ -481,8 +511,25 @@ class ThreadedEngine:
                 f"file {file.name!r} has no real path; the threaded engine "
                 "needs on-disk inputs"
             )
-        shutil.copy2(file.path, os.path.join(logic.scratch_dir, file.name))
+        dest = os.path.join(logic.scratch_dir, file.name)
+        try:
+            os.link(file.path, dest)
+        except OSError:
+            shutil.copy2(file.path, dest)
         logic.receive_file(file.name)
+
+    def _stage_missing(
+        self, files: Sequence[DataFile], missing: Sequence[str], logic: WorkerLogic
+    ) -> str:
+        """Lazy staging of one task's missing inputs; returns ``""`` or
+        the task's fetch error."""
+        for file in files:
+            if file.name in missing:
+                try:
+                    self._stage_to_worker(file, logic)
+                except OSError as exc:
+                    return fetch_error([file.name], exc)
+        return ""
 
     # -- worker thread ----------------------------------------------------------
     def _worker_main(
@@ -555,14 +602,13 @@ class ThreadedEngine:
                 worker=wid,
                 attempt=assignment.attempt,
             )
-            # Lazy staging (real-time): copy missing inputs now.
+            # Lazy staging (real-time): link missing inputs now.
             missing = logic.missing_files(group.file_names)
+            fetch_failed = ""
             if missing and not controller.strategy.data_local_to_workers:  # frieda: allow[lock-outlier] -- frozen ExecutionStrategy read, never mutated after run() starts
                 fetch_at = tel.clock()
                 t0 = time.monotonic()
-                for file in group.files:
-                    if file.name in missing:
-                        self._copy_to_worker(file, logic)
+                fetch_failed = self._stage_missing(group.files, missing, logic)
                 transfer_seconds += time.monotonic() - t0
                 tel.span_complete(
                     "fetch",
@@ -574,37 +620,42 @@ class ThreadedEngine:
                     task=group.index,
                     files=len(missing),
                 )
-            exec_at = tel.clock()
-            start = time.monotonic()
-            execution = logic.begin_task(group.index, group.file_names, start)
-            ok, error = execute_command(
-                logic.command,
-                [logic.resolve_path(n) for n in group.file_names],
-                self.command_timeout,
-            )
-            end = time.monotonic()
-            logic.finish_task(end, ok=ok, error=error)
-            busy_seconds += end - start
-            tel.span_complete(
-                "exec",
-                exec_at,
-                tel.clock(),
-                parent=task_span,
-                track=f"worker:{wid}",
-                worker=wid,
-                node="localhost",
-                task=group.index,
-            )
-            task_span.end(ok=ok)
+            if fetch_failed:
+                # Its inputs never arrived: the task fails unrun.
+                ok, error = False, fetch_failed
+                start = end = time.monotonic()
+                task_span.end(ok=False, error="fetch-failed")
+            else:
+                exec_at = tel.clock()
+                start = time.monotonic()
+                logic.begin_task(group.index, group.file_names, start)
+                ok, error = execute_command(
+                    logic.command,
+                    [logic.resolve_path(n) for n in group.file_names],
+                    self.command_timeout,
+                )
+                end = time.monotonic()
+                logic.finish_task(end, ok=ok, error=error)
+                busy_seconds += end - start
+                tel.span_complete(
+                    "exec",
+                    exec_at,
+                    tel.clock(),
+                    parent=task_span,
+                    track=f"worker:{wid}",
+                    worker=wid,
+                    node="localhost",
+                    task=group.index,
+                )
+                task_span.end(ok=ok)
             with wakeup:
                 if ok:
                     scheduler.report_success(logic.worker_id, group.index)
                 else:
-                    controller.on_worker_error(logic.worker_id, error)
-                    scheduler.report_error(logic.worker_id, group.index, error)
+                    controller.on_task_error(logic.worker_id, group.index, error, clock())
                 # Histograms mutate shared buckets — observe under the
                 # same lock that guards the scheduler.
-                if h_exec is not None:
+                if h_exec is not None and not fetch_failed:
                     h_exec.observe(end - start)
                 # Every outcome can finish the run or requeue a task:
                 # wake idle peers so they re-check the scheduler.

@@ -47,7 +47,7 @@ import asyncio
 import os
 import tempfile
 import time
-from typing import Callable, Optional, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 from repro.core.commands import CommandTemplate
 from repro.core.controller import ControllerLogic
@@ -70,13 +70,14 @@ from repro.core.messages import (
     TelemetryBatch,
 )
 from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
+from repro.core.scheduler import Assignment
 from repro.core.strategies import StrategyKind
 from repro.core.worker import WorkerLogic
-from repro.data.files import Dataset
+from repro.data.files import DataFile, Dataset
 from repro.data.partition import PartitionScheme
 from repro.errors import ChecksumError, ConfigurationError, ProtocolError
 from repro.runtime.faults import ANY_TASK, FaultScript, FaultyChannel
-from repro.runtime.local import _as_command, execute_command, start_real_run
+from repro.runtime.local import _as_command, execute_command, fetch_error, start_real_run
 from repro.runtime.protocol import (
     SMALL_PAYLOAD,
     Channel,
@@ -273,7 +274,7 @@ class TcpEngine:
             workers=self.num_workers,
         )
         started = time.monotonic()
-        records: list[TaskRecord] = []
+        records = master.records
         hang_release = asyncio.Event()
         supervisor = asyncio.create_task(master.supervise())
 
@@ -423,6 +424,9 @@ class _Master:
         self.registered: set[str] = set()
         self.channels: dict[str, Channel] = {}
         self.sent_files: dict[str, set[str]] = {}
+        #: Every task record of the run: the workers append theirs; the
+        #: master appends one for a task failed before it was sent.
+        self.records: list[TaskRecord] = []
         self.bytes_sent = 0
         self.transfer_seconds = 0.0
         self.partition_ready = asyncio.Event()
@@ -563,24 +567,83 @@ class _Master:
         self.run_done.set()
 
     # -- data ----------------------------------------------------------
-    async def _send_file(
-        self, channel: Channel, wid: str, name: str, task_id: int
+    def _open_inputs(
+        self, names: Sequence[str]
+    ) -> tuple[list[tuple[DataFile, BinaryIO]], str]:
+        """Open every input about to be sent, before anything about them
+        goes out: a missing or unreadable source fails its task up front
+        instead of leaving a worker waiting for a file. Returns the open
+        handles, or none and the task's fetch error."""
+        opened: list[tuple[DataFile, BinaryIO]] = []
+        for name in names:
+            file = self.dataset.get(name)
+            if file.path is None:
+                raise ConfigurationError(f"file {name!r} has no on-disk path")
+            try:
+                opened.append((file, open(file.path, "rb")))  # frieda: allow[async-blocking] -- one open per input; the read stays where it was (see _send_inputs)
+            except OSError as exc:
+                for _file, fh in opened:
+                    fh.close()
+                return [], fetch_error([name], exc)
+        return opened, ""
+
+    async def _send_inputs(
+        self,
+        channel: Channel,
+        wid: str,
+        opened: list[tuple[DataFile, BinaryIO]],
+        task_id: int,
+        first: Message | None = None,
     ) -> None:
-        file = self.dataset.get(name)
-        if file.path is None:
-            raise ConfigurationError(f"file {name!r} has no on-disk path")
+        """Send ``first`` (the task's ``FILE_METADATA``), then the opened
+        inputs as ``FILE_DATA``, and close every handle."""
+        try:
+            if first is not None:
+                await channel.send(first)
+            for file, fh in opened:
+                await self._send_file(channel, wid, file, fh, task_id)
+        finally:
+            for _file, fh in opened:
+                fh.close()
+
+    async def _send_file(
+        self, channel: Channel, wid: str, file: DataFile, fh: BinaryIO, task_id: int
+    ) -> None:
+        """Read one opened input right before its frame: at most
+        :data:`SMALL_PAYLOAD` bytes on the loop (cheaper than the
+        executor hop), larger ones in the executor so one big input
+        cannot stall heartbeat processing for every worker. The payload
+        is released when this returns, before the next input is read."""
         if file.size <= SMALL_PAYLOAD:
-            payload = _read_small_input(file.path)
+            payload = fh.read()
         else:
-            # Large reads stay off the event loop so one big input
-            # cannot stall heartbeat processing for every worker.
             loop = asyncio.get_running_loop()
-            payload = await loop.run_in_executor(None, _read_input, file.path)
+            payload = await loop.run_in_executor(None, fh.read)
         t0 = time.monotonic()
-        await channel.send(file_data_message(task_id, name, payload), payload)
+        await channel.send(file_data_message(task_id, file.name, payload), payload)
         self.transfer_seconds += time.monotonic() - t0
         self.bytes_sent += len(payload)
-        self.sent_files.setdefault(wid, set()).add(name)
+        self.sent_files.setdefault(wid, set()).add(file.name)
+
+    def _fail_unsent(self, wid: str, assignment: Assignment, error: str) -> None:
+        """A task whose inputs could not be opened fails unrun, through
+        the same error path as a failed program, with its record kept."""
+        now = time.monotonic()
+        self.records.append(
+            TaskRecord(
+                task_id=assignment.task_id,
+                worker_id=wid,
+                node_id=wid,
+                start=now,
+                end=now,
+                ok=False,
+                attempt=assignment.attempt,
+                error=error,
+            )
+        )
+        self.controller.on_task_error(wid, assignment.task_id, error, self.clock())
+        self._observe(sample=False)
+        self._maybe_finish()
 
     # -- connection handling -------------------------------------------
     def _make_channel(self, reader, writer) -> Channel:
@@ -673,7 +736,10 @@ class _Master:
                         names_needed.extend(group.file_names)
                 for name in dict.fromkeys(names_needed):
                     if name not in self.sent_files.get(wid, set()):
-                        await self._send_file(channel, wid, name, task_id=-1)
+                        # An input that cannot be opened stays unsent:
+                        # its task fails when drawn (see _serve).
+                        opened, _error = self._open_inputs([name])
+                        await self._send_inputs(channel, wid, opened, task_id=-1)
             await self._serve(wid, channel, pump)
         except _CONNECTION_ERRORS:
             if (
@@ -709,6 +775,14 @@ class _Master:
             return False
         return not self.controller.fault_tracker.is_isolated(wid)
 
+    async def _draw(self, wid: str) -> Optional[Assignment]:
+        """The worker's next assignment, parking while it may get work."""
+        assignment = self.scheduler.next_for(wid)
+        while assignment is None and self._may_get_work_later(wid):
+            await asyncio.sleep(0.02)
+            assignment = self.scheduler.next_for(wid)
+        return assignment
+
     async def _serve(self, wid: str, channel: Channel, pump: "_FramePump") -> None:
         while True:
             try:
@@ -728,11 +802,20 @@ class _Master:
                     # Repeated request: our reply was lost on the wire;
                     # re-send the same assignment (at-least-once).
                     self.reissued += 1
-                else:
-                    assignment = self.scheduler.next_for(wid)
-                    while assignment is None and self._may_get_work_later(wid):
-                        await asyncio.sleep(0.02)
-                        assignment = self.scheduler.next_for(wid)
+                opened: list[tuple[DataFile, BinaryIO]] = []
+                while True:
+                    if assignment is None:
+                        assignment = await self._draw(wid)
+                    if assignment is None:
+                        break
+                    already = self.sent_files.get(wid, set())
+                    opened, error = self._open_inputs(
+                        [n for n in assignment.group.file_names if n not in already]
+                    )
+                    if not error:
+                        break
+                    self._fail_unsent(wid, assignment, error)
+                    assignment = None
                 if assignment is None:
                     if self.heartbeats is not None:
                         # Graceful drain: stop watching this worker so
@@ -742,24 +825,25 @@ class _Master:
                     await self._drain_telemetry(wid, pump)
                     return
                 group = assignment.group
-                already = self.sent_files.get(wid, set())
-                missing = [n for n in group.file_names if n not in already]
-                await channel.send(
-                    FileMetadata(
+                await self._send_inputs(
+                    channel,
+                    wid,
+                    opened,
+                    task_id=group.index,
+                    first=FileMetadata(
                         task_id=group.index,
                         file_names=group.file_names,
                         sizes=tuple(f.size for f in group.files),
-                        transfer_required=bool(missing),
+                        transfer_required=bool(opened),
                         attempt=assignment.attempt,
-                    )
+                    ),
                 )
-                for name in missing:
-                    await self._send_file(channel, wid, name, task_id=group.index)
             elif isinstance(message, ResendFile):
                 t0 = self.clock()
-                await self._send_file(
-                    channel, wid, message.file_name, task_id=message.task_id
-                )
+                # A source gone since its first send is not re-sent: the
+                # worker's bounded re-requests give up on it.
+                opened, _error = self._open_inputs([message.file_name])
+                await self._send_inputs(channel, wid, opened, task_id=message.task_id)
                 self.retransmits += 1
                 self.telemetry.span_complete(
                     "retransmit",
@@ -789,8 +873,7 @@ class _Master:
                         self._crash()
                         return
                 else:
-                    self.controller.on_worker_error(wid, message.error, now)
-                    self.scheduler.report_error(wid, message.task_id, message.error)
+                    self.controller.on_task_error(wid, message.task_id, message.error, now)
                 self._observe(sample=False)
                 self._maybe_finish()
             elif isinstance(message, TelemetryBatch):
@@ -891,23 +974,6 @@ class _FramePump:
         self.task.cancel()
 
 
-def _read_input(path: str) -> bytes:
-    """Read one master-side input; runs in the executor (large inputs)."""
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _read_small_input(path: str) -> bytes:
-    """Read one input of at most :data:`SMALL_PAYLOAD` bytes on the loop.
-
-    A read this size costs less than the executor hop it replaces (a
-    thread hand-off plus a loop wake-up per file); anything larger goes
-    through :func:`_read_input` in the executor instead.
-    """
-    with open(path, "rb") as fh:  # frieda: allow[async-blocking] -- at most SMALL_PAYLOAD bytes, cheaper than the executor hop (see docstring)
-        return fh.read()
-
-
 def _write_payload(scratch_dir: str, file_name: str, payload: bytes) -> None:
     """Spill one received file to worker scratch.
 
@@ -928,35 +994,60 @@ def _write_payload(scratch_dir: str, file_name: str, payload: bytes) -> None:
     - Not deferred to the task's executor call: holding large payloads
       until the command runs keeps all of a task's big inputs resident
       at once, which raises peak memory by the size of the task.
+
+    A spill that raises ``OSError`` is a task error, never the worker's
+    death: the input is marked failed and the task that needs it
+    answers ``EXEC_STATUS ok=False`` with its fetch error.
     """
     with open(os.path.join(scratch_dir, file_name), "wb") as fh:  # frieda: allow[async-blocking] -- deliberate: frame-sized spill; yielding here reorders task assignment (see docstring)
         fh.write(payload)
+
+
+def _spill(
+    logic: WorkerLogic, spill_failed: dict[str, OSError], name: str, payload: bytes
+) -> None:
+    """Spill one received input and mark it received; a spill that
+    raises ``OSError`` marks it failed instead."""
+    try:
+        _write_payload(logic.scratch_dir, name, payload)
+    except OSError as exc:
+        spill_failed[name] = exc
+        return
+    logic.receive_file(name)
 
 
 def _run_task(
     logic: WorkerLogic,
     task: FileMetadata,
     held: dict[str, bytes],
+    spill_failed: dict[str, OSError],
     command_timeout: float,
 ) -> tuple[float, float, bool, str]:
     """The blocking half of one task, run as its single executor call.
 
     Spills the task's held small inputs to scratch, stamps ``start``,
     opens the execution record (``begin_task`` checks every input is
-    present) and runs the command. Returns ``(start, end, ok, error)``.
-    The worker coroutine is suspended on this call, so nothing else
-    touches ``logic`` meanwhile.
+    present), runs the command and closes the record. Returns ``(start,
+    end, ok, error)``. An input whose spill failed, now or before
+    (``spill_failed``), fails the task unrun with its fetch error. The
+    worker coroutine is suspended on this call, so nothing else touches
+    ``logic`` or ``spill_failed`` meanwhile.
     """
     for name, payload in held.items():
-        _write_payload(logic.scratch_dir, name, payload)
+        _spill(logic, spill_failed, name, payload)
     start = time.monotonic()
+    broken = [n for n in task.file_names if n in spill_failed]
+    if broken:
+        return start, start, False, fetch_error(broken, spill_failed[broken[0]])
     logic.begin_task(task.task_id, task.file_names, start)
     ok, error = execute_command(
         logic.command,
         [logic.resolve_path(n) for n in task.file_names],
         command_timeout,
     )
-    return start, time.monotonic(), ok, error
+    end = time.monotonic()
+    logic.finish_task(end, ok=ok, error=error)
+    return start, end, ok, error
 
 
 async def _heartbeat_loop(
@@ -1094,6 +1185,10 @@ async def _worker_client(
         pump = _FramePump(channel, on_message=on_ack, swallow=(Heartbeat, HeartbeatAck))
         loop = asyncio.get_running_loop()
         resend_counts: dict[str, int] = {}
+        # Inputs whose spill to scratch failed (ENOSPC, EIO, ...): the
+        # master has sent them and will not again, so a task that needs
+        # one answers EXEC_STATUS ok=False instead of waiting for it.
+        spill_failed: dict[str, OSError] = {}
 
         async def recv_checked(
             expect_files_for: tuple[str, ...] = (), task_id: int = -1
@@ -1176,8 +1271,7 @@ async def _worker_client(
                     return "crashed"
                 if hang_on_task is not None and message.task_id == hang_on_task:
                     return await go_hang()
-                _write_payload(scratch_dir, message.file_name, payload)
-                logic.receive_file(message.file_name)
+                _spill(logic, spill_failed, message.file_name, payload)
                 continue
             if not isinstance(message, FileMetadata):
                 raise ProtocolError(f"unexpected message at worker: {message.msg_type}")
@@ -1189,11 +1283,14 @@ async def _worker_client(
             task_span = wtel.span(
                 "task", track=track, task=message.task_id, attempt=message.attempt
             )
-            # Wait until every input for this task has arrived. Small
-            # inputs are held for the task's executor call; large ones
-            # spill as they land (see _write_payload).
+            # Wait until every input for this task that can still come
+            # has arrived. Small inputs are held for the task's executor
+            # call; large ones spill as they land (see _write_payload).
             held: dict[str, bytes] = {}
-            if logic.missing_files(message.file_names):
+            pending = [
+                n for n in logic.missing_files(message.file_names) if n not in spill_failed
+            ]
+            if pending:
                 small = {
                     name
                     for name, size in zip(message.file_names, message.sizes)
@@ -1202,17 +1299,19 @@ async def _worker_client(
                 fetch_span = wtel.span(
                     "fetch", parent=task_span, track=track, task=message.task_id
                 )
-                while logic.missing_files(message.file_names):
+                while pending:
                     data_msg, payload = await recv_checked(
-                        expect_files_for=message.file_names, task_id=message.task_id
+                        expect_files_for=tuple(pending), task_id=message.task_id
                     )
                     if not isinstance(data_msg, FileData):
                         raise ProtocolError("expected FILE_DATA for missing inputs")
-                    if data_msg.file_name in small:
-                        held[data_msg.file_name] = payload
+                    name = data_msg.file_name
+                    if name in pending:
+                        pending.remove(name)
+                    if name in small:
+                        held[name] = payload
                     else:
-                        _write_payload(scratch_dir, data_msg.file_name, payload)
-                    logic.receive_file(data_msg.file_name)
+                        _spill(logic, spill_failed, name, payload)
                 fetch_span.end()
             exec_span = wtel.span(
                 "exec", parent=task_span, track=track, task=message.task_id
@@ -1220,13 +1319,12 @@ async def _worker_client(
             # One hop per task: spill, start stamp and the program all
             # run off the event loop in this single call.
             start, end, ok, error = await loop.run_in_executor(
-                None, _run_task, logic, message, held, command_timeout
+                None, _run_task, logic, message, held, spill_failed, command_timeout
             )
             exec_span.end(ok=ok)
             task_span.end(ok=ok)
             wtel.metrics.histogram("task.exec_seconds").observe(end - start)
             wtel.metrics.counter("worker.tasks", ok=ok).inc()
-            logic.finish_task(end, ok=ok, error=error)
             records.append(
                 TaskRecord(
                     task_id=message.task_id,

@@ -89,10 +89,25 @@ class TestRuntimeReports:
         kinds = [e.kind for e in controller.events]
         assert "WORKER_FAILED" in kinds
 
-    def test_error_isolation_logged(self, controller):
-        isolated = controller.on_worker_error("n0:0", "segfault", time=1.0)
-        assert isolated  # isolate_after defaults to 1
-        assert any(e.kind == "WORKER_ISOLATED" for e in controller.events)
+    def test_error_isolation_logged(self):
+        controller, scheduler, _ = _running()
+        task = scheduler.next_for("w0").task_id
+        assert not controller.on_task_error("w0", task, "segfault", 1.0)
+        assert controller.fault_tracker.is_isolated("w0")  # isolate_after defaults to 1
+        assert [(e.kind, e.detail) for e in controller.events[-2:]] == [
+            ("WORKER_ERROR", "w0: segfault"),
+            ("WORKER_ISOLATED", "w0"),
+        ]
+
+    def test_task_error_counted_once(self):
+        controller, scheduler, tel = _running(RetryPolicy.resilient(), isolate_after=2)
+        task = scheduler.next_for("w0").task_id
+        assert controller.on_task_error("w0", task, "flaky", 1.0)
+        assert controller.fault_tracker.health("w0").errors == 1
+        assert not controller.fault_tracker.is_isolated("w0")
+        assert _kinds(controller, "WORKER_ERROR") == ["w0: flaky"]
+        assert _kinds(controller, "WORKER_ISOLATED") == []
+        assert tel.metrics.snapshot()["counters"]["scheduler.task_errors"] == 1
 
     def test_elastic_add(self, controller):
         controller.plan_workers([("n0", 4)])
@@ -156,7 +171,8 @@ class TestWorkerLost:
         controller, scheduler, _ = _running(isolate_after=2)
         isolated = []
         controller.fault_tracker.on_isolate = lambda wid, _h: isolated.append(wid)
-        assert not controller.on_worker_error("w0", "flaky", 1.0)
+        task = scheduler.next_for("w0").task_id
+        controller.on_task_error("w0", task, "flaky", 1.0)
         assert isolated == []
         controller.on_worker_lost("w0", "n0", "gone", 2.0)
         assert isolated == ["w0"]
