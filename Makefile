@@ -129,7 +129,9 @@ chaos-runtime:
 		tests/runtime/test_staging.py -x -q
 
 # Seeded chaos sweep (VM failures + link faults + transfer faults) run
-# twice; the digests must match byte-for-byte or determinism regressed.
+# twice; the digests must match byte-for-byte or determinism regressed,
+# and must equal the pinned digest (tests/experiments/chaos_digest.txt,
+# also checked in tier-1) or the sweep's outcome moved.
 chaos:
 	$(PYTHON) -m repro.experiments chaos --scale 0.05 | tee /tmp/frieda-chaos-1.txt
 	$(PYTHON) -m repro.experiments chaos --scale 0.05 > /tmp/frieda-chaos-2.txt
@@ -137,3 +139,5 @@ chaos:
 	@grep '^chaos digest:' /tmp/frieda-chaos-2.txt > /tmp/frieda-chaos-digest-2.txt
 	@diff /tmp/frieda-chaos-digest-1.txt /tmp/frieda-chaos-digest-2.txt \
 		&& echo "chaos sweep reproducible: digests match"
+	@diff tests/experiments/chaos_digest.txt /tmp/frieda-chaos-digest-1.txt \
+		&& echo "chaos digest matches the pinned value"

@@ -12,11 +12,13 @@ The controller owns configuration and membership, never data:
 
 It also owns the master-side lifecycle all three engines share: run
 set-up (:meth:`ControllerLogic.bind`, :meth:`ControllerLogic.start_master`),
-worker loss (:meth:`ControllerLogic.on_worker_lost`), task errors on
-the real planes (:meth:`ControllerLogic.on_task_error`) and the common
-fields of the :class:`~repro.core.framework.RunOutcome`
-(:meth:`ControllerLogic.outcome`). Engines keep only their transport,
-clock and process model.
+the liveness sweep (:meth:`ControllerLogic.sweep`), worker loss
+(:meth:`ControllerLogic.on_worker_lost`), task errors
+(:meth:`ControllerLogic.on_task_error`), the observation tick
+(:meth:`ControllerLogic.observe`) and the
+:class:`~repro.core.framework.RunOutcome`, stranded tasks included
+(:meth:`ControllerLogic.outcome`). Engines keep only their timer, wait
+primitive and transport.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.core.commands import CommandTemplate
 from repro.core.fault import FaultTracker, RetryPolicy
 from repro.core.framework import RunOutcome
 from repro.core.messages import SetPartitionInfo, StartMaster, WorkerFailed
+from repro.core.monitoring import HeartbeatMonitor, Liveness
 from repro.core.scheduler import MasterScheduler
 from repro.core.strategies import DataManagementStrategy, StrategyKind, strategy_for
 from repro.data.files import Dataset
@@ -80,6 +83,8 @@ class ControllerLogic:
         self.multicore = multicore
         self.retry_policy = retry_policy or RetryPolicy.paper_faithful()
         self.fault_tracker = FaultTracker(isolate_after=isolate_after)
+        #: Nodes the liveness sweep gave up on (each declared once).
+        self.nodes_declared_dead: set[str] = set()
         self.events: list[ControllerEvent] = []
         self.groups: Optional[list[TaskGroup]] = None
         self.worker_plans: list[WorkerPlan] = []
@@ -168,9 +173,40 @@ class ControllerLogic:
         return self.worker_plans
 
     # -- run-time reports -----------------------------------------------------
+    def sweep(
+        self,
+        monitor: HeartbeatMonitor,
+        now: float,
+        workers_on: Callable[[str], Sequence[str]],
+    ) -> list[str]:
+        """One liveness sweep over the engine's heartbeat monitor;
+        returns the nodes newly declared dead.
+
+        ``workers_on(node)`` names the workers a monitored node hosts
+        (the node itself on the real planes, its clones on the
+        simulated one). A silent node whose workers were all already
+        lost over their connection is forgotten, not declared: the
+        broken connection reported that death. Any other silent node is
+        declared dead once, then each of its workers is lost.
+        """
+        newly_dead: list[str] = []
+        for node_id, state in monitor.sweep(now).items():
+            if state is not Liveness.DEAD or node_id in self.nodes_declared_dead:
+                continue
+            workers = workers_on(node_id)
+            if workers and all(self.fault_tracker.is_lost(w) for w in workers):
+                monitor.forget(node_id)
+                continue
+            self.nodes_declared_dead.add(node_id)
+            self.declare_dead(node_id, "missed heartbeats", now)
+            for wid in workers:
+                self.on_worker_lost(wid, node_id, "heartbeat: declared dead", now)
+            newly_dead.append(node_id)
+        return newly_dead
+
     def declare_dead(self, node_id: str, reason: str, time: float) -> None:
-        """The liveness layer gave up on a silent node (or thread); the
-        engine follows with :meth:`on_worker_lost` for its workers."""
+        """The liveness sweep gave up on a silent node; it follows with
+        :meth:`on_worker_lost` for the node's workers."""
         self.telemetry.event("node.declared_dead", node_id, track="control")
         self.log(time, "NODE_DECLARED_DEAD", f"{node_id}: {reason}")
 
@@ -219,9 +255,9 @@ class ControllerLogic:
     def on_task_error(
         self, worker_id: str, task_id: int, message: str, time: float
     ) -> bool:
-        """A task ended in error on a real worker (its program failed or
-        its inputs could not be staged): the scheduler records the error
-        once on the fault tracker and retries, fails or — past
+        """A task ended in error on a worker (its program failed or its
+        inputs could not be staged or fetched): the scheduler records
+        the error once on the fault tracker and retries, fails or — past
         ``isolate_after`` — drains the worker's reservation; the error
         is logged, and so is the isolation it caused. Returns whether
         the task will be retried."""
@@ -254,12 +290,39 @@ class ControllerLogic:
     def all_worker_ids(self) -> tuple[str, ...]:
         return tuple(w for plan in self.worker_plans for w in plan.worker_ids)
 
+    # -- observation -----------------------------------------------------------
+    def observe(self, now: float, *, sample_queue: bool) -> None:
+        """One observation tick: a ``queue.depth`` event when
+        ``sample_queue`` is set, then the SLO probes over the live
+        metrics. The engine owns the cadence."""
+        if sample_queue:
+            self.telemetry.event(
+                "queue.depth", self.scheduler.pending_count, track="control"
+            )
+        if self.slo is not None:
+            self.slo.evaluate(now)
+
     # -- outcome ---------------------------------------------------------------
     def outcome(self, *, extra: dict[str, Any] | None = None, **fields: Any) -> RunOutcome:
         """The run's :class:`RunOutcome`: configuration, task counts,
-        audit log and SLO breaches from here; timings, records and the
-        engine's own ``extra`` entries from the engine."""
-        summary = self.scheduler.summary()
+        audit log, declared-dead nodes and SLO breaches from here;
+        timings, records and the engine's own ``extra`` entries from the
+        engine.
+
+        Every task lands in one bucket: work still outstanding when the
+        run ends (every worker isolated, or the master lost) is recorded
+        lost and logged once as ``TASKS_ABANDONED``. The SLO probes then
+        take a final look at the settled registry.
+        """
+        scheduler = self.scheduler
+        now = self.clock()
+        if scheduler.outstanding:
+            why = "every worker isolated" if scheduler.done else "master lost"
+            abandoned = scheduler.abandon_outstanding(why)
+            self.log(now, "TASKS_ABANDONED", f"{len(abandoned)} tasks stranded: {why}")
+        if self.slo is not None:
+            self.slo.evaluate(now)
+        summary = scheduler.summary()
         breaches = self.slo.breaches if self.slo is not None else ()
         return RunOutcome(
             strategy=self.strategy.kind,
@@ -271,6 +334,7 @@ class ControllerLogic:
             controller_events=list(self.events),
             extra={
                 **(extra or {}),
+                "nodes_declared_dead": sorted(self.nodes_declared_dead),
                 "slo_breaches": [
                     (b.probe, b.signal, b.value, b.threshold) for b in breaches
                 ],

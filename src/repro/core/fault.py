@@ -8,8 +8,8 @@ Paper-faithful behaviour (§V-A "Robust"):
   automatically restarting the failed task"),
 
 :class:`RetryPolicy` implements the paper's named future work (task
-restart and recovery) as an opt-in extension; the ablation benchmark
-``benchmarks/bench_failures.py`` compares both behaviours.
+restart and recovery) as an opt-in extension; the robustness sweep
+(``python -m repro.experiments robustness``) compares both behaviours.
 """
 
 from __future__ import annotations

@@ -522,6 +522,17 @@ class MasterScheduler:
         """Tasks queued or reserved but not yet handed to a worker."""
         return self._pending
 
+    def may_get_work_later(self, worker_id: str) -> bool:
+        """Whether an idle worker (``next_for`` gave it nothing) should
+        wait for work instead of being released: only a retry can hand
+        it work later, so it stays while retries are on (worker-loss or
+        task-error), the run is not done and it is not isolated. Every
+        engine applies this one rule."""
+        retry = self.retry_policy
+        if not (retry.retry_on_worker_loss or retry.retry_on_task_error):
+            return False
+        return not self.done and not self.faults.is_isolated(worker_id)
+
     @property
     def has_queued_work(self) -> bool:
         if self.strategy.static_assignment:
@@ -537,7 +548,8 @@ class MasterScheduler:
 
         Either everything resolved, or nothing is queued/in flight, or
         work remains queued but every registered worker is isolated
-        (the paper-faithful "lost tasks" terminal state).
+        (the paper-faithful "lost tasks" terminal state: the
+        controller's ``outcome()`` records what is left as lost).
         """
         if self.outstanding == 0:
             return True

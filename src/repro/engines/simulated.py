@@ -43,7 +43,7 @@ from repro.core.controller import ControllerLogic
 from repro.core.elasticity import AutoScalePolicy, ElasticityManager
 from repro.core.commands import CommandTemplate
 from repro.core.fault import RetryPolicy
-from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
+from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor
 from repro.core.framework import RunOutcome, TaskRecord
 from repro.core.scheduler import Assignment, MasterScheduler
 from repro.core.strategies import StrategyKind
@@ -337,9 +337,6 @@ class _SimulatedRun:
             )
         self.heartbeats: Optional[HeartbeatMonitor] = None
         self.link_injector: Optional[LinkFaultInjector] = None
-        #: Nodes the heartbeat sweep has already declared dead (the
-        #: declaration fans out to every clone exactly once).
-        self._nodes_declared_dead: set[str] = set()
         self.static_chunking = static_chunking
         self.master_failure_at = master_failure_at
         self.master_recovery_time = master_recovery_time
@@ -669,9 +666,6 @@ class _SimulatedRun:
         self._maybe_finish()
         yield self.run_done
         self.end_time = env.now
-        if self.controller.slo is not None:
-            # Final look at the fully settled registry.
-            self.controller.slo.evaluate(env.now)
         for vm in cluster.vms.values():
             vm.terminate()
         self._run_span.end(tasks=len(self.scheduler.completed))
@@ -782,36 +776,19 @@ class _SimulatedRun:
             return
 
     def _heartbeat_sweep(self):
-        """Master-side sweep: declare silent nodes dead and recover.
-
-        This closes the loop the injector's ``fail_vm`` cannot: a
-        silently-dead node never reports, so its in-flight tasks would
-        stay on the master's books forever. The sweep notices the
-        missed beats, declares the node dead, and fires the same
-        ``worker_lost`` path a broken connection would have.
-        """
+        """Master-side sweep timer: a silently-dead node never reports,
+        so only the controller's sweep can recover its in-flight tasks."""
         interval = self.options.heartbeat_interval
         while not self.run_done.triggered:
             yield self.env.timeout(interval)
             if self.run_done.triggered:
                 return
-            states = self.heartbeats.sweep(self.env.now)
-            for node_id, state in states.items():
-                if state is not Liveness.DEAD or node_id in self._nodes_declared_dead:
-                    continue
-                if self._node_connection_lost(node_id):
-                    # A crashed node stops beating too, but its death was
-                    # already reported over the broken connection; drop it
-                    # from monitoring instead of double-declaring.
-                    self.heartbeats.forget(node_id)
-                    continue
-                self._nodes_declared_dead.add(node_id)
-                self._declare_node_dead(node_id)
+            self.controller.sweep(self.heartbeats, self.env.now, self._clones_on)
             self._maybe_finish()
 
     def _observe_loop(self):
-        """Time-sampled observability: queue-depth gauge events and SLO
-        probe evaluation at a fixed sim-time cadence. Deterministic —
+        """Observation timer: the controller's tick (queue-depth events,
+        SLO probes) at a fixed sim-time cadence. Deterministic —
         samples land at ``start + k * interval`` in simulated time (no
         wall-clock reads), so same-seed runs produce byte-identical
         merged traces."""
@@ -822,34 +799,17 @@ class _SimulatedRun:
                 if self.options.heartbeat_interval > 0
                 else 1.0
             )
-        tel = self.telemetry
         while not self.run_done.triggered:
             yield self.env.timeout(interval)
             if self.run_done.triggered:
                 return
-            if self._sample_queue:
-                tel.event(
-                    "queue.depth", self.scheduler.pending_count, track="control"
-                )
-            if self.controller.slo is not None:
-                self.controller.slo.evaluate(self.env.now)
+            self.controller.observe(self.env.now, sample_queue=self._sample_queue)
 
-    def _node_connection_lost(self, node_id: str) -> bool:
-        """Every clone on the node already reported loss (crash path)."""
-        faults = self.controller.fault_tracker
-        clones = [
+    def _clones_on(self, node_id: str) -> list[str]:
+        """Every worker id ever hosted on the node (removed nodes too)."""
+        return [
             w for w, logic in self.worker_logics.items() if logic.node_id == node_id
         ]
-        return bool(clones) and all(faults.is_lost(w) for w in clones)
-
-    def _declare_node_dead(self, node_id: str) -> None:
-        now = self.env.now
-        self.controller.declare_dead(node_id, "missed heartbeats", now)
-        for wid, logic in self.worker_logics.items():
-            if logic.node_id == node_id:
-                self.controller.on_worker_lost(
-                    wid, node_id, "heartbeat: declared dead", now
-                )
 
     def _on_worker_isolated(self, worker_id: str, health) -> None:
         """FaultTracker callback: once every clone on a node is
@@ -860,8 +820,7 @@ class _SimulatedRun:
             return
         node_id = logic.node_id
         faults = self.controller.fault_tracker
-        clones = [w for w, l in self.worker_logics.items() if l.node_id == node_id]
-        if not all(faults.is_isolated(w) for w in clones):
+        if not all(faults.is_isolated(w) for w in self._clones_on(node_id)):
             return
         if node_id not in self.elasticity_mgr.active_nodes:
             return  # scripted removal already accounted for it
@@ -891,7 +850,7 @@ class _SimulatedRun:
                     if assignment is None and self.options.speculative and strategy.lazy:
                         assignment = sched.speculate_for(wid)
                     if assignment is None:
-                        if sched.done or not sched.retry_policy.retry_on_worker_loss:
+                        if not sched.may_get_work_later(wid):
                             break  # NO_MORE_DATA
                         # Retry extension: work may reappear; poll briefly.
                         yield env.timeout(max(self.options.control_rtt * 25, 0.05))
@@ -1026,7 +985,7 @@ class _SimulatedRun:
                 if assignment is None and self.options.speculative:
                     assignment = sched.speculate_for(wid)
                 if assignment is None:
-                    if sched.done or not sched.retry_policy.retry_on_worker_loss:
+                    if not sched.may_get_work_later(wid):
                         return None
                     yield env.timeout(max(self.options.control_rtt * 25, 0.05))
                     continue
@@ -1129,7 +1088,7 @@ class _SimulatedRun:
         now = self.env.now
         wid = logic.worker_id
         message = "fetch failed: " + ", ".join(failure.files)
-        retried = self.scheduler.report_error(wid, assignment.task_id, message)
+        retried = self.controller.on_task_error(wid, assignment.task_id, message, now)
         self.telemetry.event(
             "task.fetch_failed", assignment.task_id,
             track=f"worker:{wid}", worker=wid, retried=retried,
@@ -1335,7 +1294,7 @@ class _SimulatedRun:
             cost = self.billing.report(self.cluster)
         events = self.controller.events
         results = self.transfers.results
-        return self.controller.outcome(
+        outcome = self.controller.outcome(
             makespan=self.end_time - self.start_time,
             transfer_time=unions["transfer"],
             execution_time=unions["exec"],
@@ -1360,7 +1319,8 @@ class _SimulatedRun:
                     if self.link_injector is not None
                     else 0
                 ),
-                "nodes_declared_dead": sorted(self._nodes_declared_dead),
-                "metrics": self.telemetry.metrics.snapshot(),
             },
         )
+        # Read after outcome() has settled stranded tasks.
+        outcome.extra["metrics"] = self.telemetry.metrics.snapshot()
+        return outcome

@@ -39,7 +39,7 @@ from repro.core.controller import ControllerLogic
 from repro.core.fault import RetryPolicy
 from repro.core.framework import RunOutcome, TaskRecord
 from repro.core.identity import RejoinIdMinter, scratch_name
-from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
+from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor
 from repro.core.scheduler import MasterScheduler
 from repro.core.strategies import StrategyKind
 from repro.core.worker import WorkerLogic
@@ -353,9 +353,6 @@ class ThreadedEngine:
                 respawn_map=respawn_after_crash or {},
                 spawn_replacement=spawn_replacement,
             )
-        if controller.slo is not None:
-            # Final look at the fully settled registry.
-            controller.slo.evaluate(clock())
         makespan = time.monotonic() - started
         records = [r for o in outcomes.values() for r in o.records]
         records.sort(key=lambda r: (r.start, r.task_id))
@@ -390,24 +387,15 @@ class ThreadedEngine:
 
         Two detection paths, mirroring the TCP master: a thread that
         *exits* abruptly (injected crash) is the broken-connection twin
-        and is reported immediately; a thread that stops beating while
-        still alive (injected hang) is declared dead by the heartbeat
-        sweep. Both feed the controller's ``on_worker_lost`` → requeue →
-        isolate path, then idle peers are woken to absorb the requeued
-        work.
+        and is reported lost at once; a thread that stops beating while
+        still alive (injected hang) is found by the controller's
+        heartbeat sweep. Either way idle peers are then woken to absorb
+        the requeued work.
         """
         scheduler, tel = controller.scheduler, controller.telemetry  # frieda: allow[lock-outlier] -- run fields, set before threads start
-        clock, slo = controller.clock, controller.slo  # frieda: allow[lock-outlier] -- run fields, set before threads start
+        clock = controller.clock  # frieda: allow[lock-outlier] -- run field, set before threads start
         handled: set[str] = set()
         due_respawns: list[tuple[float, str]] = []
-
-        def report_loss(wid: str, reason: str) -> None:
-            handled.add(wid)
-            with wakeup:
-                now = clock()
-                controller.declare_dead(wid, reason, now)
-                controller.on_worker_lost(wid, "localhost", reason, now)
-                wakeup.notify_all()
 
         interval = self.heartbeat_interval if monitor is not None else 0.02
         # Queue depth is time-sampled (not per-event) so trace size scales
@@ -418,22 +406,21 @@ class ThreadedEngine:
             now = clock()
             if now - last_sample >= sample_every:
                 last_sample = now
-                if tel.record:
-                    with wakeup:
-                        depth = scheduler.pending_count
-                    tel.event("queue.depth", depth, track="control")
-                if slo is not None:
-                    with wakeup:
-                        slo.evaluate(now)
+                with wakeup:
+                    controller.observe(now, sample_queue=tel.record)
             for wid, thread in list(threads.items()):
                 if thread.is_alive() or wid in handled:
                     continue
                 if status.get(wid) == "crashed":
                     # Abrupt thread death — the connection-loss twin.
-                    if monitor is not None:
-                        with wakeup:
+                    handled.add(wid)
+                    with wakeup:
+                        if monitor is not None:
                             monitor.forget(wid)
-                    report_loss(wid, "worker thread died")
+                        controller.on_worker_lost(
+                            wid, "localhost", "worker thread died", now
+                        )
+                        wakeup.notify_all()
                     if wid in respawn_map:
                         due_respawns.append((now + respawn_map[wid], wid))
                 elif monitor is not None:
@@ -443,10 +430,10 @@ class ThreadedEngine:
                         monitor.forget(wid)
             if monitor is not None:
                 with wakeup:
-                    swept = monitor.sweep(clock())
-                for wid, state in swept.items():
-                    if state is Liveness.DEAD and wid not in handled:
-                        report_loss(wid, "missed heartbeats")
+                    dead = controller.sweep(monitor, clock(), lambda wid: (wid,))
+                    if dead:
+                        wakeup.notify_all()
+                handled.update(dead)
             if due_respawns:
                 with wakeup:
                     resolved = scheduler.done
@@ -553,7 +540,6 @@ class ThreadedEngine:
         records: list[TaskRecord] = []
         transfer_seconds = 0.0
         busy_seconds = 0.0
-        retry = scheduler.retry_policy  # frieda: allow[lock-outlier] -- frozen policy snapshot, set before threads start
         status = status if status is not None else {}
         # Park timeout that keeps an idle worker alive in the monitor.
         self_beat = monitor.config.suspect_after if monitor is not None else 2.0  # frieda: allow[lock-outlier] -- frozen HeartbeatConfig read, set before threads start
@@ -569,7 +555,7 @@ class ThreadedEngine:
                     break
                 assignment = scheduler.next_for(logic.worker_id)
                 if assignment is None:
-                    if not (retry.retry_on_worker_loss or retry.retry_on_task_error):
+                    if not scheduler.may_get_work_later(wid):
                         break
                     # Idle, but a peer's failure may requeue work for us:
                     # sleep until someone reports an outcome. The timeout
@@ -674,7 +660,7 @@ class ThreadedEngine:
             )
         status[wid] = "completed"
         with wakeup:
-            # This worker is leaving (done, or out of work with retries
-            # off): wake any sleeper so it re-checks the exit condition.
+            # This worker is leaving (done, or no retry can hand it
+            # work): wake any sleeper so it re-checks the exit condition.
             wakeup.notify_all()
         outcomes[logic.worker_id] = _WorkerOutcome(records, transfer_seconds, busy_seconds)

@@ -69,7 +69,7 @@ from repro.core.messages import (
     ResendFile,
     TelemetryBatch,
 )
-from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
+from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor
 from repro.core.scheduler import Assignment
 from repro.core.strategies import StrategyKind
 from repro.core.worker import WorkerLogic
@@ -242,7 +242,7 @@ class TcpEngine:
         fault_script: FaultScript | None,
     ) -> RunOutcome:
         dataset, scheduler = controller.dataset, controller.scheduler
-        tel, clock = controller.telemetry, controller.clock
+        tel = controller.telemetry
         worker_ids = [f"tcp:{i}" for i in range(self.num_workers)]
         expected = [w for w in worker_ids if w not in pre_register_crashes]
         monitor = (
@@ -343,23 +343,13 @@ class TcpEngine:
                     )
         if master.error is not None:
             raise master.error
-        if master.crashed:
-            abandoned = scheduler.abandon_outstanding("master connection lost")
-            if abandoned:
-                controller.log(
-                    clock(),
-                    "TASKS_ABANDONED",
-                    f"{len(abandoned)} tasks stranded by master loss",
-                )
         makespan = time.monotonic() - started
         # Fold worker telemetry streams into the run hub (per-worker
-        # tracks, clock-aligned; conflict-free metric merge), then give
-        # the SLO probes a final look at the fully merged registry.
+        # tracks, clock-aligned; conflict-free metric merge) before
+        # outcome() gives the SLO probes their final look.
         clock_offsets: dict[str, float] = {}
         if master.merger is not None:
             clock_offsets = master.merger.fold()
-        if controller.slo is not None:
-            controller.slo.evaluate(clock())
         run_span.end(tasks=len(scheduler.completed))
         records.sort(key=lambda r: (r.start, r.task_id))
         return controller.outcome(
@@ -369,7 +359,6 @@ class TcpEngine:
             bytes_transferred=float(master.bytes_sent),
             task_records=records,
             extra={
-                "heartbeat_deaths": sorted(master.declared_dead),
                 "retransmits": master.retransmits,
                 "reissued_requests": master.reissued,
                 "stale_statuses": master.stale_statuses,
@@ -416,7 +405,6 @@ class _Master:
         self.fault_script = fault_script
         self.crash_after_tasks = crash_after_tasks
         self.merger = merger
-        self.slo = controller.slo
         self.observe_interval = observe_interval
         self.batches_dropped = 0
         self._ack_tasks: set[asyncio.Task] = set()
@@ -431,7 +419,6 @@ class _Master:
         self.transfer_seconds = 0.0
         self.partition_ready = asyncio.Event()
         self.run_done = asyncio.Event()
-        self.declared_dead: set[str] = set()
         self.late_joins: set[str] = set()
         self.retransmits = 0
         self.reissued = 0
@@ -447,7 +434,11 @@ class _Master:
         """Registration window, then the sweep/observe loop."""
         try:
             await self._registration_phase()
-            if self.heartbeats is None and self.slo is None and self.merger is None:
+            if (
+                self.heartbeats is None
+                and self.controller.slo is None
+                and self.merger is None
+            ):
                 return
             interval = (
                 self.heartbeat_interval
@@ -460,7 +451,9 @@ class _Master:
                 except asyncio.TimeoutError:
                     if self.heartbeats is not None:
                         self._sweep()
-                    self._observe(sample=True)
+                    self.controller.observe(
+                        self.clock(), sample_queue=self.telemetry.record
+                    )
         except asyncio.CancelledError:
             raise
         except BaseException as exc:  # surface master bugs to the engine
@@ -499,20 +492,10 @@ class _Master:
             await self._registration_changed.wait()
 
     def _sweep(self) -> None:
-        now = self.clock()
-        states = self.heartbeats.sweep(now)
-        faults = self.controller.fault_tracker
-        for wid, state in states.items():
-            if state is not Liveness.DEAD or wid in self.declared_dead:
-                continue
-            if faults.is_lost(wid):
-                # Its death was already reported over the broken
-                # connection; drop it from monitoring.
-                self.heartbeats.forget(wid)
-                continue
-            self.declared_dead.add(wid)
-            self.controller.declare_dead(wid, "missed heartbeats", now)
-            self.controller.on_worker_lost(wid, wid, "heartbeat: declared dead", now)
+        """The controller's sweep; a worker it declares dead has its
+        connection closed."""
+        dead = self.controller.sweep(self.heartbeats, self.clock(), lambda wid: (wid,))
+        for wid in dead:
             channel = self.channels.get(wid)
             if channel is not None:
                 channel.close()
@@ -521,16 +504,6 @@ class _Master:
     def _maybe_finish(self) -> None:
         if self._partitioned and self.scheduler.done:
             self.run_done.set()
-
-    def _observe(self, *, sample: bool) -> None:
-        """SLO evaluation plus (on sweep ticks) queue-depth sampling."""
-        now = self.clock()
-        if sample and self.telemetry.record:
-            self.telemetry.event(
-                "queue.depth", self.scheduler.pending_count, track="control"
-            )
-        if self.slo is not None:
-            self.slo.evaluate(now)
 
     def _ack_heartbeat(self, channel: Channel, beat: Heartbeat) -> None:
         """Echo a beat back (fire-and-forget) so the worker can measure
@@ -641,8 +614,9 @@ class _Master:
                 error=error,
             )
         )
-        self.controller.on_task_error(wid, assignment.task_id, error, self.clock())
-        self._observe(sample=False)
+        now = self.clock()
+        self.controller.on_task_error(wid, assignment.task_id, error, now)
+        self.controller.observe(now, sample_queue=False)
         self._maybe_finish()
 
     # -- connection handling -------------------------------------------
@@ -761,24 +735,15 @@ class _Master:
             channel.close()
             await channel.wait_closed()
 
-    def _may_get_work_later(self, wid: str) -> bool:
-        """Whether an idle worker should be parked instead of released.
-
-        Mirrors the threaded runtime: with retries on, a drained worker
-        waits for possible requeues (a peer may still die) instead of
-        exiting — unless it is isolated or the run is over.
-        """
-        retry = self.scheduler.retry_policy
-        if not (retry.retry_on_worker_loss or retry.retry_on_task_error):
-            return False
-        if self.scheduler.done or self.run_done.is_set():
-            return False
-        return not self.controller.fault_tracker.is_isolated(wid)
-
     async def _draw(self, wid: str) -> Optional[Assignment]:
-        """The worker's next assignment, parking while it may get work."""
+        """The worker's next assignment, parking and polling while the
+        shared idle rule says it may get work later and the run is on."""
         assignment = self.scheduler.next_for(wid)
-        while assignment is None and self._may_get_work_later(wid):
+        while (
+            assignment is None
+            and not self.run_done.is_set()
+            and self.scheduler.may_get_work_later(wid)
+        ):
             await asyncio.sleep(0.02)
             assignment = self.scheduler.next_for(wid)
         return assignment
@@ -874,7 +839,7 @@ class _Master:
                         return
                 else:
                     self.controller.on_task_error(wid, message.task_id, message.error, now)
-                self._observe(sample=False)
+                self.controller.observe(now, sample_queue=False)
                 self._maybe_finish()
             elif isinstance(message, TelemetryBatch):
                 if self.merger is not None:

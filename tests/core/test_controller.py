@@ -10,6 +10,7 @@ from repro.core.commands import CommandTemplate
 from repro.core.controller import ControllerLogic
 from repro.core.fault import RetryPolicy
 from repro.core.messages import WorkerFailed
+from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor, Liveness
 from repro.core.strategies import StrategyKind
 from repro.data.files import synthetic_dataset
 from repro.data.partition import PartitionScheme
@@ -225,24 +226,97 @@ class TestOutcome:
         assert outcome.strategy is StrategyKind.REAL_TIME
         assert outcome.grouping is PartitionScheme.SINGLE
         assert (outcome.tasks_total, outcome.tasks_completed) == (4, 4)
-        assert outcome.extra == {"k": 1, "slo_breaches": []}
+        assert outcome.extra == {"k": 1, "nodes_declared_dead": [], "slo_breaches": []}
         assert [e.kind for e in outcome.controller_events] == ["PARTITION_GENERATED"]
 
 
+class TestSweep:
+    def _monitored(self, nodes):
+        """A running controller over the given node → workers map, and
+        a monitor whose every node has gone silent."""
+        controller, scheduler, _ = _running(RetryPolicy.resilient())
+        for workers in nodes.values():
+            for wid in workers:
+                if wid not in scheduler.workers:
+                    scheduler.register_worker(wid)
+        monitor = HeartbeatMonitor(HeartbeatConfig(suspect_after=1.0, dead_after=2.0))
+        for node in nodes:
+            monitor.beat(node, 0.0)
+        return controller, monitor, lambda node: nodes[node]
+
+    def test_node_lost_over_its_connection_is_forgotten(self):
+        controller, monitor, workers_on = self._monitored({"w0": ("w0",)})
+        controller.on_worker_lost("w0", "w0", "connection lost", 1.0)
+        assert controller.sweep(monitor, 5.0, workers_on) == []
+        assert controller.nodes_declared_dead == set()
+        assert _kinds(controller, "NODE_DECLARED_DEAD") == []
+        assert _kinds(controller, "WORKER_FAILED") == ["w0: connection lost"]
+        assert monitor.liveness("w0", 5.0) is Liveness.UNKNOWN
+
+    def test_clone_bearing_node_reports_each_clone_once(self):
+        controller, monitor, workers_on = self._monitored({"n0": ("w0", "w1")})
+        assert controller.sweep(monitor, 1.5, workers_on) == []
+        assert controller.sweep(monitor, 5.0, workers_on) == ["n0"]
+        assert controller.sweep(monitor, 9.0, workers_on) == []
+        assert _kinds(controller, "NODE_DECLARED_DEAD") == ["n0: missed heartbeats"]
+        assert _kinds(controller, "WORKER_FAILED") == [
+            "w0: heartbeat: declared dead",
+            "w1: heartbeat: declared dead",
+        ]
+        outcome = controller.outcome(makespan=9.0, transfer_time=0.0, execution_time=0.0)
+        assert outcome.extra["nodes_declared_dead"] == ["n0"]
+
+
 class TestOneLossPath:
-    def test_engines_report_loss_only_through_the_controller(self):
-        """No engine or runtime module requeues a lost worker's tasks or
-        builds its failure report itself: ``ControllerLogic.on_worker_lost``
-        is the one path, so the three planes cannot drift apart again."""
+    @staticmethod
+    def _calls(*subs):
+        """(location, callee name, receiver name) of every call under
+        the given packages; the receiver is the last name before the
+        dot (``self.controller.sweep`` → ``controller``)."""
         package = Path(repro.__file__).parent
-        offenders = []
-        for sub in ("engines", "runtime"):
+        for sub in subs:
             for path in sorted((package / sub).rglob("*.py")):
                 for node in ast.walk(ast.parse(path.read_text(), str(path))):
                     if not isinstance(node, ast.Call):
                         continue
                     func = node.func
-                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                    if name in ("worker_lost", "WorkerFailed"):
-                        offenders.append(f"{path.relative_to(package)}:{node.lineno} {name}")
+                    receiver = ""
+                    if isinstance(func, ast.Attribute):
+                        name, value = func.attr, func.value
+                        receiver = (
+                            value.attr if isinstance(value, ast.Attribute)
+                            else getattr(value, "id", "")
+                        )
+                    else:
+                        name = getattr(func, "id", "")
+                    yield f"{path.relative_to(package)}:{node.lineno}", name, receiver
+
+    def test_engines_report_loss_only_through_the_controller(self):
+        """No engine or runtime module requeues a lost worker's tasks or
+        builds its failure report itself: ``ControllerLogic.on_worker_lost``
+        is the one path, so the three planes cannot drift apart again."""
+        offenders = [
+            f"{where} {name}"
+            for where, name, _ in self._calls("engines", "runtime")
+            if name in ("worker_lost", "WorkerFailed")
+        ]
+        assert offenders == []
+
+    def test_engines_sweep_observe_and_idle_only_through_the_core(self):
+        """The liveness sweep, the SLO tick and the idle-worker rule
+        live once: ``ControllerLogic.sweep``/``observe`` and
+        ``MasterScheduler.may_get_work_later``. No engine sweeps a
+        heartbeat monitor, evaluates SLO probes or keeps its own idle
+        rule."""
+        offenders = [
+            f"{where} {receiver}.{name}"
+            for where, name, receiver in self._calls("engines", "runtime")
+            if (name == "sweep" and receiver != "controller")
+            or (name == "evaluate" and receiver == "slo")
+        ]
+        package = Path(repro.__file__).parent
+        for sub in ("engines", "runtime"):
+            for path in sorted((package / sub).rglob("*.py")):
+                if "_may_get_work_later" in path.read_text():
+                    offenders.append(f"{path.relative_to(package)} _may_get_work_later")
         assert offenders == []

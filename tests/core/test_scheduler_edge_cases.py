@@ -54,6 +54,36 @@ class TestLateJoiners:
         assert sched.done
 
 
+RETRY_CONFIGS = {
+    "off": RetryPolicy.paper_faithful(),
+    "loss-only": RetryPolicy(max_attempts=3, retry_on_worker_loss=True),
+    "error-only": RetryPolicy(max_attempts=3, retry_on_task_error=True),
+    "both": RetryPolicy.resilient(),
+}
+
+
+class TestMayGetWorkLater:
+    """The one idle-worker rule: an idle worker stays only if retries
+    are on (either kind), the run is not done and it is not isolated."""
+
+    @pytest.mark.parametrize("isolated", [False, True])
+    @pytest.mark.parametrize("done", [False, True])
+    @pytest.mark.parametrize("retry", sorted(RETRY_CONFIGS))
+    def test_truth_table(self, retry, done, isolated):
+        sched = build(
+            4, StrategyKind.REAL_TIME, ["w0", "w1"], retry_policy=RETRY_CONFIGS[retry]
+        )
+        if done:
+            while (assignment := sched.next_for("w1")) is not None:
+                sched.report_success("w1", assignment.task_id)
+        if isolated:
+            sched.faults.record_error("w0", "bad")  # isolate_after=1
+        assert sched.done is done
+        assert sched.faults.is_isolated("w0") is isolated
+        expected = retry != "off" and not done and not isolated
+        assert sched.may_get_work_later("w0") is expected
+
+
 class TestMixedRetrySemantics:
     def test_error_retry_without_loss_retry(self):
         policy = RetryPolicy(max_attempts=2, retry_on_task_error=True)

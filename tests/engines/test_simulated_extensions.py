@@ -136,6 +136,15 @@ class TestMasterOutage:
         # The run ends at the failure instant, not at a timeout.
         assert outcome.makespan == pytest.approx(10.0, abs=0.5)
 
+    def test_permanent_loss_records_stranded_tasks_lost(self):
+        outcome = self._run(master_failure_at=10.0)
+        counts = (outcome.tasks_completed, outcome.tasks_failed, outcome.tasks_lost)
+        assert counts == (0, 0, outcome.tasks_total) == (0, 0, 30)
+        abandoned = [
+            e.detail for e in outcome.controller_events if e.kind == "TASKS_ABANDONED"
+        ]
+        assert abandoned == ["30 tasks stranded: master lost"]
+
     def test_local_data_unaffected_by_outage_before_it(self):
         # With pre-partitioned-local data the master is only needed for
         # control; an outage after partitioning barely matters.

@@ -1,5 +1,7 @@
 """Tests for the robustness extension experiment."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.robustness import (
@@ -92,6 +94,14 @@ class TestChaosSweep:
 
         again = run_chaos_sweep(0.05, seed=0)
         assert chaos_digest(chaos_cells) == chaos_digest(again)
+
+    def test_digest_pinned(self, chaos_cells):
+        # The digest line `make chaos` prints, pinned: refactors that
+        # claim the chaos sweep byte-equal are checked against it.
+        from repro.experiments.robustness import chaos_digest
+
+        pinned = (Path(__file__).parent / "chaos_digest.txt").read_text().strip()
+        assert f"chaos digest: {chaos_digest(chaos_cells)}" == pinned
 
     def test_digest_sensitive_to_seed(self, chaos_cells):
         from repro.experiments.robustness import chaos_digest, run_chaos_sweep

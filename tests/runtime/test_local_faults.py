@@ -54,7 +54,7 @@ class TestThreadCrash:
         assert outcome.tasks_completed == 6
         assert outcome.tasks_lost == 0
         kinds = event_kinds(outcome)
-        assert "NODE_DECLARED_DEAD" in kinds
+        assert "NODE_DECLARED_DEAD" not in kinds
         assert "WORKER_FAILED" in kinds
 
     def test_crash_without_retry_is_paper_faithful(self, input_files):

@@ -266,12 +266,13 @@ class TestTaskErrorCountedOnce:
 
 class TestOneErrorPath:
     def test_runtimes_report_task_errors_only_through_the_controller(self):
-        """No real engine records a task error on the scheduler or the
-        fault tracker itself: ``ControllerLogic.on_task_error`` is the
-        one path, so an error cannot be counted twice again."""
+        """No engine records a task error on the scheduler or the fault
+        tracker itself: ``ControllerLogic.on_task_error`` is the one
+        path, so an error cannot be counted twice or go unlogged."""
         package = Path(repro.__file__).parent
         offenders = []
-        for path in sorted((package / "runtime").rglob("*.py")):
+        paths = [*(package / "engines").rglob("*.py"), *(package / "runtime").rglob("*.py")]
+        for path in sorted(paths):
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if not isinstance(node, ast.Call):
                     continue

@@ -87,7 +87,7 @@ class TestHeartbeatDeath:
             hang_worker_on_task={"tcp:1": 2},
         )
         assert outcome.tasks_completed == 6
-        assert outcome.extra["heartbeat_deaths"] == ["tcp:1"]
+        assert outcome.extra["nodes_declared_dead"] == ["tcp:1"]
         kinds = event_kinds(outcome)
         assert "NODE_DECLARED_DEAD" in kinds
         assert "WORKER_FAILED" in kinds
@@ -109,7 +109,7 @@ class TestHeartbeatDeath:
             input_files, command=slow_program
         )
         assert outcome.tasks_completed == 6
-        assert outcome.extra["heartbeat_deaths"] == []
+        assert outcome.extra["nodes_declared_dead"] == []
         assert "NODE_DECLARED_DEAD" not in event_kinds(outcome)
 
     def test_combined_prereg_crash_and_hang(self, input_files):
@@ -139,7 +139,7 @@ class TestHeartbeatDeath:
         assert outcome.tasks_completed == 9
         assert outcome.tasks_lost == 0
         assert time.monotonic() - started < 60
-        assert outcome.extra["heartbeat_deaths"] == ["tcp:3"]
+        assert outcome.extra["nodes_declared_dead"] == ["tcp:3"]
         kinds = event_kinds(outcome)
         assert "REGISTRATION_WINDOW_CLOSED" in kinds
         assert "NODE_DECLARED_DEAD" in kinds
