@@ -63,8 +63,8 @@ recovery-check:
 # One command to gate a PR locally: invariants (per-file + whole-
 # program), tests (which include the exporter schema/golden contract),
 # runtime chaos parity, perf regressions, the service control plane,
-# the 1k macro tier
-# (10k/100k are opt-in: `FRIEDA_MACRO_TIERS=1k,10k make bench-macro`),
+# the 1k and 10k macro tiers
+# (100k is opt-in: `FRIEDA_MACRO_TIERS=100k make bench-macro`),
 # and the ledger's correctness pass.
 check: lint audit test schema-check chaos-runtime service-check recovery-check bench-check bench-macro ledger-check
 
@@ -96,7 +96,7 @@ bench-update: accel
 	$(PYTHON) -m benchmarks.run_bench --update
 
 # End-to-end simulated-plane runs at macro worker counts. Defaults to
-# the 1k tier; set FRIEDA_MACRO_TIERS=1k,10k,100k for the full family.
+# the 1k and 10k tiers; set FRIEDA_MACRO_TIERS=1k,10k,100k for the full family.
 bench-macro: accel
 	$(PYTHON) -m benchmarks.bench_macro
 

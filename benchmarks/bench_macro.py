@@ -10,9 +10,9 @@ the slab span log is exercised at the same scale.
 
 Results persist to ``BENCH_macro.json`` at the repo root::
 
-    python -m benchmarks.bench_macro               # default tiers (1k)
+    python -m benchmarks.bench_macro               # default tiers (1k, 10k)
     python -m benchmarks.bench_macro --update      # rewrite recorded tiers
-    FRIEDA_MACRO_TIERS=1k,10k python -m benchmarks.bench_macro
+    FRIEDA_MACRO_TIERS=100k python -m benchmarks.bench_macro
 
 Wall-clock numbers are informational (single-shot runs on a shared
 box); the *gate* is behavioural: every tier must complete all its tasks
@@ -32,10 +32,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_macro.json"
 
-#: Worker counts per tier name.  1k gates `make check`; the larger
-#: tiers are opt-in via --tiers / FRIEDA_MACRO_TIERS.
+#: Worker counts per tier name.  1k and 10k gate `make check`; 100k is
+#: opt-in via --tiers / FRIEDA_MACRO_TIERS.
 TIERS = {"1k": 1_000, "10k": 10_000, "100k": 100_000}
-DEFAULT_TIERS = ("1k",)
+DEFAULT_TIERS = ("1k", "10k")
 
 
 def run_tier(workers: int) -> dict:
@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--tiers",
-        help="comma-separated tier names (default: $FRIEDA_MACRO_TIERS or 1k)",
+        help="comma-separated tier names (default: $FRIEDA_MACRO_TIERS or 1k,10k)",
     )
     parser.add_argument(
         "--update", action="store_true", help="rewrite the tiers run in BENCH_macro.json"

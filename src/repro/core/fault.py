@@ -18,6 +18,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 
+#: Sentinel for the engines' ``crash_worker_on_task`` /
+#: ``hang_worker_on_task`` hooks: fire on the *first* task assignment
+#: the worker receives, whatever its id. Exact ids are deterministic
+#: only under static assignment; chaos scenarios against the racy
+#: pull schedulers key on this instead.
+ANY_TASK = -2
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Task-restart policy (extension; disabled reproduces the paper).

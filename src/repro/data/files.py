@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from repro.errors import StorageError
 from repro.util.seeding import make_rng
 from repro.util.units import format_bytes, parse_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -182,17 +183,18 @@ def synthetic_dataset(
     if count < 0:
         raise ValueError("count must be non-negative")
     mean = parse_size(mean_size)
-    rng = make_rng(seed, "dataset", name)
     width = max(4, len(str(max(count - 1, 0))))
-    files = []
-    for index in range(count):
-        if size_cv > 0:
-            # Lognormal with the requested mean and CV.
-            sigma2 = np.log(1.0 + size_cv**2)
-            mu = np.log(mean) - sigma2 / 2.0
-            size = int(rng.lognormal(mu, np.sqrt(sigma2)))
-            size = max(1, size)
-        else:
-            size = mean
-        files.append(DataFile(name=f"{prefix}{index:0{width}d}{suffix}", size=size))
+    sizes = [mean] * count
+    if size_cv > 0:
+        import numpy as np
+
+        # Lognormal with the requested mean and CV.
+        rng = make_rng(seed, "dataset", name)
+        sigma2 = np.log(1.0 + size_cv**2)
+        mu = np.log(mean) - sigma2 / 2.0
+        sizes = [max(1, int(rng.lognormal(mu, np.sqrt(sigma2)))) for _ in range(count)]
+    files = [
+        DataFile(name=f"{prefix}{index:0{width}d}{suffix}", size=size)
+        for index, size in enumerate(sizes)
+    ]
     return Dataset(name, files)

@@ -42,7 +42,7 @@ from repro.cloud.storage import StorageTier
 from repro.core.controller import ControllerLogic
 from repro.core.elasticity import AutoScalePolicy, ElasticityManager
 from repro.core.commands import CommandTemplate
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor
 from repro.core.framework import RunOutcome, TaskRecord
 from repro.core.scheduler import Assignment, MasterScheduler
@@ -52,7 +52,7 @@ from repro.data.files import DataFile, Dataset
 from repro.data.partition import PartitionScheme
 from repro.engines.compute import ComputeModel
 from repro.errors import ConfigurationError, SimulationError
-from repro.runtime.faults import ANY_TASK
+from repro.sim.collector import sparse_collection
 from repro.sim.kernel import Environment, Event, Interrupt
 from repro.telemetry.slo import SloProbe
 from repro.telemetry.spans import SpanHandle, Telemetry
@@ -224,42 +224,43 @@ class SimulatedEngine:
         (``NULL_TELEMETRY``, ``Telemetry()``) raises
         :class:`~repro.errors.ConfigurationError`.
         """
-        env = Environment()
-        run = _SimulatedRun(
-            env=env,
-            engine=self,
-            dataset=dataset,
-            compute_model=compute_model,
-            command=command,
-            strategy=strategy,
-            grouping=grouping,
-            grouping_options=grouping_options or {},
-            common_files=tuple(common_files),
-            multicore=multicore,
-            retry_policy=retry_policy,
-            isolate_after=isolate_after,
-            failure_schedule=failure_schedule,
-            failure_mttf=failure_mttf,
-            failure_silent_fraction=failure_silent_fraction,
-            crash_worker_on_task=crash_worker_on_task,
-            hang_worker_on_task=hang_worker_on_task,
-            link_fault_schedule=link_fault_schedule,
-            link_fault_mtbf=link_fault_mtbf,
-            link_fault_outage=link_fault_outage,
-            transfer_fault_rate=transfer_fault_rate,
-            elasticity=tuple(elasticity),
-            static_chunking=static_chunking,
-            master_failure_at=master_failure_at,
-            master_recovery_time=master_recovery_time,
-            output_bytes_per_task=output_bytes_per_task,
-            data_source=data_source,
-            telemetry=telemetry,
-        )
-        done = env.process(run.main(), name="frieda-run")
-        env.run(until=done)
-        if env.now > max_sim_time:
-            raise SimulationError(f"simulation exceeded {max_sim_time} simulated seconds")
-        return run.outcome()
+        with sparse_collection():
+            env = Environment()
+            run = _SimulatedRun(
+                env=env,
+                engine=self,
+                dataset=dataset,
+                compute_model=compute_model,
+                command=command,
+                strategy=strategy,
+                grouping=grouping,
+                grouping_options=grouping_options or {},
+                common_files=tuple(common_files),
+                multicore=multicore,
+                retry_policy=retry_policy,
+                isolate_after=isolate_after,
+                failure_schedule=failure_schedule,
+                failure_mttf=failure_mttf,
+                failure_silent_fraction=failure_silent_fraction,
+                crash_worker_on_task=crash_worker_on_task,
+                hang_worker_on_task=hang_worker_on_task,
+                link_fault_schedule=link_fault_schedule,
+                link_fault_mtbf=link_fault_mtbf,
+                link_fault_outage=link_fault_outage,
+                transfer_fault_rate=transfer_fault_rate,
+                elasticity=tuple(elasticity),
+                static_chunking=static_chunking,
+                master_failure_at=master_failure_at,
+                master_recovery_time=master_recovery_time,
+                output_bytes_per_task=output_bytes_per_task,
+                data_source=data_source,
+                telemetry=telemetry,
+            )
+            done = env.process(run.main(), name="frieda-run")
+            env.run(until=done)
+            if env.now > max_sim_time:
+                raise SimulationError(f"simulation exceeded {max_sim_time} simulated seconds")
+            return run.outcome()
 
 
 class _SimulatedRun:

@@ -12,6 +12,15 @@ command templating — demonstrating the control/execution separation.
 
 from repro.runtime.local import ThreadedEngine
 from repro.runtime.protocol import read_frame, write_frame, FrameReader
-from repro.runtime.tcp import TcpEngine
 
 __all__ = ["ThreadedEngine", "TcpEngine", "read_frame", "write_frame", "FrameReader"]
+
+
+def __getattr__(name: str):
+    # PEP 562: the TCP engine pulls in asyncio and ssl, so it loads on
+    # first use, not whenever the threaded engine is imported.
+    if name == "TcpEngine":
+        from repro.runtime.tcp import TcpEngine
+
+        return TcpEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,7 @@ Worker indices map to engine ids via :func:`worker_id`: index ``i`` is
 the *sorted* membership, so index ``i`` owns the same contiguous task
 chunk on every plane — which is what makes exact-task-id fault hooks
 engine-portable. Pull-based (real-time) placement is racy; scenarios
-against it should key hooks on :data:`~repro.runtime.faults.ANY_TASK`.
+against it should key hooks on :data:`~repro.core.fault.ANY_TASK`.
 """
 
 from __future__ import annotations

@@ -36,13 +36,6 @@ from repro.util.seeding import make_rng
 
 _ACTIONS = ("drop", "delay", "corrupt", "truncate")
 
-#: Sentinel for the engines' ``crash_worker_on_task`` /
-#: ``hang_worker_on_task`` hooks: fire on the *first* task assignment
-#: the worker receives, whatever its id. Exact ids are deterministic
-#: only under static assignment; chaos scenarios against the racy
-#: pull schedulers key on this instead.
-ANY_TASK = -2
-
 
 @dataclass
 class FaultRule:

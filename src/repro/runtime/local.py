@@ -36,7 +36,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.core.commands import CommandTemplate
 from repro.core.controller import ControllerLogic
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.framework import RunOutcome, TaskRecord
 from repro.core.identity import RejoinIdMinter, scratch_name
 from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor
@@ -46,7 +46,6 @@ from repro.core.worker import WorkerLogic
 from repro.data.files import DataFile, Dataset
 from repro.data.partition import PartitionScheme
 from repro.errors import ConfigurationError
-from repro.runtime.faults import ANY_TASK
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.slo import SloProbe
 from repro.telemetry.spans import NULL_TELEMETRY, SpanHandle, Telemetry
@@ -227,7 +226,7 @@ class ThreadedEngine:
         Chaos hooks (mirroring :class:`~repro.runtime.tcp.TcpEngine`):
         ``crash_worker_on_task`` maps a worker id to a task id — the
         worker thread dies without reporting when it draws that task
-        (:data:`~repro.runtime.faults.ANY_TASK` = its first draw);
+        (:data:`~repro.core.fault.ANY_TASK` = its first draw);
         ``hang_worker_on_task`` wedges the thread instead (alive, no
         beats) and requires ``heartbeat_interval`` > 0.
         ``respawn_after_crash`` maps a worker id to a delay: that many

@@ -23,10 +23,9 @@ type raises :class:`~repro.errors.ProtocolError` — never a stray
 
 from __future__ import annotations
 
-import asyncio
 import struct
 import zlib
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.messages import (
     FileData,
@@ -36,6 +35,9 @@ from repro.core.messages import (
     encode_message,
 )
 from repro.errors import ChecksumError, ProtocolError
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: Frames above this size are rejected (corrupt length prefix guard).
 MAX_FRAME = 64 * 1024 * 1024

@@ -52,7 +52,7 @@ from typing import BinaryIO, Callable, Optional, Sequence
 from repro.core.commands import CommandTemplate
 from repro.core.controller import ControllerLogic
 from repro.core.elasticity import ElasticityManager
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.framework import RunOutcome, TaskRecord
 from repro.core.identity import RejoinIdMinter, scratch_name
 from repro.core.messages import (
@@ -76,7 +76,7 @@ from repro.core.worker import WorkerLogic
 from repro.data.files import DataFile, Dataset
 from repro.data.partition import PartitionScheme
 from repro.errors import ChecksumError, ConfigurationError, ProtocolError
-from repro.runtime.faults import ANY_TASK, FaultScript, FaultyChannel
+from repro.runtime.faults import FaultScript, FaultyChannel
 from repro.runtime.local import _as_command, execute_command, fetch_error, start_real_run
 from repro.runtime.protocol import (
     SMALL_PAYLOAD,

@@ -618,7 +618,12 @@ static PyObject *
 process_get_resume(PyObject *op, void *closure)
 {
     (void)closure;
-    return Py_NewRef(((ProcessObject *)op)->resume);
+    PyObject *resume = ((ProcessObject *)op)->resume;
+    /* A finished process no longer caches its callback; hand out a fresh
+     * one (identity only matters while the process can be subscribed). */
+    if (resume == NULL)
+        return PyCFunction_New(&process_resume_def, op);
+    return Py_NewRef(resume);
 }
 
 static PyObject *
@@ -641,7 +646,11 @@ process_interrupt(PyObject *op, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
-/* Finish the process event (generator returned or raised). */
+/* Finish the process event (generator returned or raised). Dropping the
+ * cached bound _resume breaks the process -> resume -> process cycle, so a
+ * finished process is freed by reference counting, not by the cyclic
+ * collector. Dropped last: whoever is calling _resume holds a reference
+ * to it, and the heap now holds one to the process. */
 static int
 process_finish(ProcessObject *self, EnvObject *env, PyObject *ok,
                PyObject *value_stolen)
@@ -649,7 +658,9 @@ process_finish(ProcessObject *self, EnvObject *env, PyObject *ok,
     Py_XSETREF(env->active, Py_NewRef(Py_None));
     Py_XSETREF(self->base.ok, Py_NewRef(ok));
     Py_XSETREF(self->base.value, value_stolen);
-    return env_schedule_internal(env, (PyObject *)self, NORMAL_PRIO, 0.0);
+    int rc = env_schedule_internal(env, (PyObject *)self, NORMAL_PRIO, 0.0);
+    Py_CLEAR(self->resume);
+    return rc;
 }
 
 static PyObject *

@@ -10,8 +10,10 @@ reproducible regardless of the order modules initialize in.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, *names: str | int) -> int:
@@ -36,6 +38,8 @@ def make_rng(seed: int | np.random.Generator | None, *names: str | int) -> np.ra
     When ``seed`` is already a Generator it is returned unchanged (the
     caller owns the stream). ``None`` yields a fresh OS-seeded stream.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is None:
@@ -66,4 +70,6 @@ class SeedSequenceFactory:
 
     def rng(self, *names: str | int) -> np.random.Generator:
         """Return a Generator for a named stream."""
+        import numpy as np
+
         return np.random.default_rng(self.seed(*names))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cloud.cluster import ClusterSpec
 from repro.cloud.failures import FailureSchedule, LinkFaultSchedule
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.monitoring import HeartbeatConfig
 from repro.core.strategies import StrategyKind
 from repro.data.files import synthetic_dataset
@@ -287,8 +287,6 @@ class TestInjectedWorkerDeath:
             )
 
     def test_any_task_sentinel_fires_on_first_draw(self):
-        from repro.runtime.faults import ANY_TASK
-
         outcome = run_chaos(
             n_files=6,
             cost=2.0,

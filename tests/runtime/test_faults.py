@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.fault import ANY_TASK
 from repro.core.messages import FileData, FileMetadata, RequestData
 from repro.errors import ConfigurationError
-from repro.runtime.faults import ANY_TASK, FaultRule, FaultScript
+from repro.runtime.faults import FaultRule, FaultScript
 
 
 class TestFaultRule:

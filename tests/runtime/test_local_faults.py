@@ -10,11 +10,10 @@ import time
 
 import pytest
 
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.monitoring import HeartbeatConfig
 from repro.core.strategies import StrategyKind
 from repro.errors import ConfigurationError
-from repro.runtime.faults import ANY_TASK
 from repro.runtime.local import ThreadedEngine
 
 

@@ -11,14 +11,13 @@ import time
 import pytest
 
 from repro.core.identity import RejoinIdMinter, scratch_name, split_rejoin_id
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.scheduler import MasterScheduler
 from repro.core.strategies import StrategyKind, strategy_for
 from repro.core.monitoring import HeartbeatConfig
 from repro.data.files import synthetic_dataset
 from repro.data.partition import PartitionScheme, generate_groups
 from repro.errors import ProtocolError
-from repro.runtime.faults import ANY_TASK
 from repro.runtime.local import ThreadedEngine
 
 

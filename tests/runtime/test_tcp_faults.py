@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.monitoring import HeartbeatConfig
 from repro.core.strategies import StrategyKind
-from repro.runtime.faults import ANY_TASK, FaultRule, FaultScript
+from repro.runtime.faults import FaultRule, FaultScript
 from repro.runtime.tcp import TcpEngine
 
 

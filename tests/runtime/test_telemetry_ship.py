@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from repro.core.fault import RetryPolicy
-from repro.runtime.faults import ANY_TASK, FaultRule, FaultScript
+from repro.core.fault import ANY_TASK, RetryPolicy
+from repro.runtime.faults import FaultRule, FaultScript
 from repro.runtime.tcp import TcpEngine
 from repro.telemetry import SloProbe, Telemetry, dump_chrome_trace
 
