@@ -16,8 +16,9 @@ Results persist to ``BENCH_macro.json`` at the repo root::
 
 Wall-clock numbers are informational (single-shot runs on a shared
 box); the *gate* is behavioural: every tier must complete all its tasks
-and reproduce the recorded simulated makespan exactly — the sim-time
-result is deterministic even when the wall time is not.
+and reproduce the recorded simulated makespan, span count and event
+count exactly — the sim-time result is deterministic even when the wall
+time is not.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ BASELINE_PATH = REPO_ROOT / "BENCH_macro.json"
 #: opt-in via --tiers / FRIEDA_MACRO_TIERS.
 TIERS = {"1k": 1_000, "10k": 10_000, "100k": 100_000}
 DEFAULT_TIERS = ("1k", "10k")
+
+#: Deterministic result fields each tier must reproduce exactly.
+GATED_KEYS = ("sim_makespan_s", "spans_recorded", "events_recorded")
 
 
 def run_tier(workers: int) -> dict:
@@ -92,11 +96,13 @@ def check_tier(name: str, result: dict, recorded: dict | None) -> list[str]:
         )
     if result["spans_recorded"] <= 0:
         problems.append(f"{name}: telemetry recorded no spans")
-    if recorded is not None and recorded.get("sim_makespan_s") != result["sim_makespan_s"]:
-        problems.append(
-            f"{name}: simulated makespan {result['sim_makespan_s']}s != "
-            f"recorded {recorded['sim_makespan_s']}s (determinism regression)"
-        )
+    if recorded is not None:
+        for key in GATED_KEYS:
+            if recorded.get(key) != result[key]:
+                problems.append(
+                    f"{name}: {key} {result[key]} != recorded {recorded.get(key)}"
+                    " (determinism regression)"
+                )
     return problems
 
 
@@ -150,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
         recorded_tiers.update(fresh)
         payload = {
             "note": "end-to-end simulated-plane runs; wall times are "
-            "informational, sim makespans are the determinism gate; refresh "
+            "informational, sim makespans and span/event counts are the "
+            "determinism gate; refresh "
             "with `python -m benchmarks.bench_macro --tiers <tiers> --update`",
             "tiers": {k: recorded_tiers[k] for k in sorted(recorded_tiers)},
         }

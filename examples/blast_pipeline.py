@@ -17,6 +17,7 @@ import tempfile
 from repro import Frieda, PartitionScheme, StrategyKind
 from repro.apps.blast import (
     BlastDatabase,
+    BlastHit,
     blast_search,
     read_fasta,
     synthetic_database,
@@ -27,14 +28,13 @@ from repro.apps.blast import (
 )
 
 DATABASE: BlastDatabase | None = None
-hit_counts: dict[str, int] = {}
+query_hits: dict[str, list[BlastHit]] = {}
 
 
 def search_query_file(path: str) -> None:
     """The task program: run every query in the file against the DB."""
     for query in read_fasta(path):
-        hits = blast_search(query, DATABASE)
-        hit_counts[query.seq_id] = len(hits)
+        query_hits[query.seq_id] = blast_search(query, DATABASE)
 
 
 def main() -> None:
@@ -62,19 +62,20 @@ def main() -> None:
             grouping=PartitionScheme.SINGLE,
         )
         print(
-            f"searched {len(hit_counts)} queries in {outcome.tasks_completed} tasks, "
+            f"searched {len(query_hits)} queries in {outcome.tasks_completed} tasks, "
             f"makespan {outcome.makespan:.2f}s"
         )
-        with_hits = {q: n for q, n in hit_counts.items() if n}
-        print(f"{len(with_hits)}/{len(hit_counts)} queries matched the database:")
+        with_hits = {q: len(hits) for q, hits in query_hits.items() if hits}
+        print(f"{len(with_hits)}/{len(query_hits)} queries matched the database:")
         for q in sorted(with_hits):
             print(f"  {q}: {with_hits[q]} hits")
         assert outcome.all_tasks_ok
 
-        # Inspect the single best alignment across all queries, BLAST-style.
+        # Inspect the single best alignment across all queries, BLAST-style,
+        # from the hits the tasks already found.
         best = None
         for query in queries:
-            hits = blast_search(query, DATABASE)
+            hits = query_hits[query.seq_id]
             if hits and (best is None or hits[0].bit_score > best[1].bit_score):
                 best = (query, hits[0])
         if best is not None:

@@ -1,35 +1,24 @@
-"""Batched max-min fair solvers (pure-Python and NumPy, bit-identical).
+"""Batched max-min fair solver for one connected component.
 
 The progressive-filling allocation is defined here in *batched* form:
 every freeze round computes one aggregate capacity delta per link —
 ``k × share`` for a bottleneck freeze, an in-order sum of caps for a
 capped-flow freeze — and applies it with a single subtract-and-clamp.
-Because each link is updated once per round with identical IEEE-754
-operations, the same arithmetic can be expressed either as Python
-scalar loops or as NumPy vector ops, and the two produce **bit-for-bit
-identical** rates:
+Each link is therefore updated once per round, with the same IEEE-754
+operations in the same order, so the rates are a pure function of the
+component's canonical flow order:
 
-- fair shares are elementwise ``cap / count`` either way,
-- the bottleneck is the *first* strict minimum (``np.argmin`` has the
-  same first-occurrence tie rule as a ``<`` scan) over links in
-  first-seen order,
-- bottleneck deltas are one ``float(k) * share`` multiply per link,
-- capped deltas accumulate in flow-major path order (``np.add.at`` is
-  unbuffered and applies repeated indices in input order, matching the
-  scalar loop),
-- clamping is ``x if x > 0.0 else 0.0`` vs ``np.where(x > 0.0, x, 0.0)``.
+- the bottleneck is the *first* strict minimum of ``cap / count`` over
+  links in first-seen (flow-major) order,
+- bottleneck deltas are one ``k * share`` multiply per link,
+- capped deltas accumulate in flow-major path order,
+- clamping is ``x if x > 0.0 else 0.0``.
 
-The scalar path keeps per-solve state in scratch slots *on* the Link
-and Flow objects (``_s_*``), validated by a monotonically increasing
-token, so a solve allocates no per-link dictionaries — incremental
-replanning calls it thousands of times on small components and the
-setup cost is what dominates there.
-
-``solve_rates`` dispatches by component size: NumPy wins once a
-component has enough flows to amortize array construction; small
-components (the common case under incremental replanning) stay on the
-scalar path. When NumPy is unavailable the scalar path handles every
-size — same results, different speed.
+Per-solve state lives in scratch slots *on* the Link and Flow objects
+(``_s_*``), validated by a monotonically increasing token, so a solve
+allocates no per-link dictionaries — incremental replanning calls it
+thousands of times on small components and the setup cost is what
+dominates there.
 """
 
 from __future__ import annotations
@@ -40,16 +29,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.cloud.network import Flow, Link
-
-try:  # NumPy is optional: the scalar path is always available.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the scalar path serves every size
-    _np = None
-
-#: Components with at least this many flows go to the NumPy path; the
-#: crossover was measured on the clustered-churn micro-benchmark (array
-#: construction never pays back on rack-sized components).
-VECTOR_THRESHOLD = 64
 
 #: Scratch-slot validity tokens (shared by solve setup and freeze
 #: rounds — any unique int will do).
@@ -67,27 +46,6 @@ def solve_rates(
     ``flows`` must be in canonical (flow-id) order; the result is a
     pure function of that order, link capacities, and per-flow caps.
     """
-    if _np is not None and len(flows) >= VECTOR_THRESHOLD:
-        return _solve_np(flows, capacities)
-    return _solve_py(flows, capacities)
-
-
-def solve_component(
-    flows: Sequence["Flow"],
-    capacities: Optional[dict["Link", float]] = None,
-) -> dict["Flow", float]:
-    """Dict-shaped wrapper over :func:`solve_rates`."""
-    if not flows:
-        return {}
-    rates = solve_rates(flows, capacities)
-    return {flow: rates[i] for i, flow in enumerate(flows)}
-
-
-def _solve_py(
-    flows: Sequence["Flow"],
-    capacities: Optional[dict["Link", float]] = None,
-) -> list[float]:
-    """Scalar reference implementation of the batched solver."""
     token = next(_TOKENS)
     touched: list["Link"] = []  # links in first-seen (flow-major) order
     has_capped = False
@@ -174,92 +132,3 @@ def _solve_py(
             link._s_cap = new if new > 0.0 else 0.0
         live = still_live
     return [flow._s_rate for flow in flows]
-
-
-def _index_component(flows, capacities):
-    """NumPy-path setup: links in first-seen order, integer paths."""
-    caps: list[float] = []
-    counts: list[int] = []
-    link_index: dict = {}
-    paths: list[list[int]] = []
-    flow_caps: list[float] = []
-    has_capped = False
-    for flow in flows:
-        max_rate = flow.max_rate
-        if max_rate is None:
-            flow_caps.append(_INF)
-        else:
-            flow_caps.append(max_rate)
-            has_capped = True
-        idxs = []
-        for link in flow.path:
-            li = link_index.get(link)
-            if li is None:
-                li = link_index[link] = len(caps)
-                caps.append(link.capacity if capacities is None else capacities[link])
-                counts.append(0)
-            counts[li] += 1
-            idxs.append(li)
-        paths.append(idxs)
-    return caps, counts, paths, flow_caps, has_capped
-
-
-def _solve_np(
-    flows: Sequence["Flow"],
-    capacities: Optional[dict["Link", float]] = None,
-) -> list[float]:
-    """Vectorized solver: same rounds, same arithmetic, NumPy arrays."""
-    np = _np
-    caps_l, counts_l, paths, flow_caps_l, has_capped = _index_component(
-        flows, capacities
-    )
-    nflows = len(flows)
-    nlinks = len(caps_l)
-    caps = np.array(caps_l, dtype=np.float64)
-    counts = np.array(counts_l, dtype=np.int64)
-    flow_caps = np.array(flow_caps_l, dtype=np.float64)
-    # CSR-ish flattened paths: flat[i] is a link index, flow_of_flat[i]
-    # the flow it belongs to; order is flow-major (canonical).
-    flat = np.array([li for p in paths for li in p], dtype=np.intp)
-    flow_of_flat = np.array(
-        [f for f, p in enumerate(paths) for _ in p], dtype=np.intp
-    )
-    live = np.ones(nflows, dtype=bool)
-    rates = np.zeros(nflows, dtype=np.float64)
-    remaining = nflows
-
-    while remaining:
-        shares = np.where(counts > 0, caps / np.maximum(counts, 1), _INF)
-        bottleneck = int(np.argmin(shares))
-        share = float(shares[bottleneck])
-        if not counts[bottleneck]:  # pragma: no cover - defensive, see _solve_py
-            rates[live] = flow_caps[live]
-            break
-        if has_capped:
-            capped = live & (flow_caps < share)
-            if capped.any():
-                rates[capped] = flow_caps[capped]
-                sel = capped[flow_of_flat]
-                idx = flat[sel]
-                delta = np.zeros(nlinks, dtype=np.float64)
-                # Unbuffered in-order accumulation == the scalar loop.
-                np.add.at(delta, idx, flow_caps[flow_of_flat[sel]])
-                new = caps - delta
-                caps = np.where(new > 0.0, new, 0.0)
-                counts -= np.bincount(idx, minlength=nlinks)
-                remaining -= int(np.count_nonzero(capped))
-                live &= ~capped
-                continue
-        crossing = np.zeros(nflows, dtype=bool)
-        crossing[flow_of_flat[flat == bottleneck]] = True
-        crossing &= live
-        rates[crossing] = share
-        sel = crossing[flow_of_flat]
-        idx = flat[sel]
-        frozen_per_link = np.bincount(idx, minlength=nlinks)
-        new = caps - frozen_per_link * share
-        caps = np.where(new > 0.0, new, 0.0)
-        counts -= frozen_per_link
-        remaining -= int(np.count_nonzero(crossing))
-        live &= ~crossing
-    return rates.tolist()

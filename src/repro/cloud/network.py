@@ -35,9 +35,8 @@ tracks which links changed since the last plan and re-solves only the
 affected components, reusing frozen rates everywhere else. All
 arrivals/retirements that land at the same virtual instant are coalesced
 into a single replanning pass. Components are solved by the batched
-solvers in :mod:`repro.cloud.maxmin` — one aggregate capacity delta per
-link per freeze round — which lets large components go through NumPy
-while small ones stay on a scalar path with bit-identical results.
+solver in :mod:`repro.cloud.maxmin` — one aggregate capacity delta per
+link per freeze round.
 
 Three structural choices keep the per-wake cost flat as flow counts
 grow:
@@ -72,8 +71,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from repro.cloud.maxmin import solve_component as _solve_component_batched
-from repro.cloud.maxmin import solve_rates as _solve_rates
+from repro.cloud.maxmin import solve_rates
 from repro.errors import NetworkError
 from repro.sim.kernel import Environment, Event
 from repro.telemetry.metrics import NULL_METRICS
@@ -239,20 +237,6 @@ class Flow:
         return f"<Flow {self.id} tag={self.tag} remaining={self.remaining_bits:.0f}b>"
 
 
-def _solve_component(
-    flows: Sequence[Flow],
-    capacities: dict[Link, float] | None = None,
-) -> dict[Flow, float]:
-    """Progressive-filling max-min allocation for ONE connected component.
-
-    Delegates to the batched solvers in :mod:`repro.cloud.maxmin`
-    (scalar or NumPy by component size — bit-for-bit identical either
-    way). Callers must pass each component's flows in a canonical order
-    (the planner sorts by flow id) for cross-run determinism.
-    """
-    return _solve_component_batched(flows, capacities)
-
-
 def _components(flows: Sequence[Flow]) -> list[list[Flow]]:
     """Partition ``flows`` into connected components of the flow/link graph.
 
@@ -304,7 +288,7 @@ def max_min_rates(
         return {}
     rates: dict[Flow, float] = {}
     for component in _components(ordered):
-        rates.update(_solve_component(component, capacities))
+        rates.update(zip(component, solve_rates(component, capacities)))
     return rates
 
 
@@ -689,12 +673,12 @@ class FlowNetwork:
                 if component_flows:
                     component_flows.sort(key=_FLOW_ID)
                     self._apply_rates(
-                        component_flows, _solve_rates(component_flows), now
+                        component_flows, solve_rates(component_flows), now
                     )
         else:
             ordered_all = sorted(self._flows, key=_FLOW_ID)
             for component in _components(ordered_all):
-                self._apply_rates(component, _solve_rates(component), now)
+                self._apply_rates(component, solve_rates(component), now)
 
     def _component(self, start: Link, token: int) -> list[Flow]:
         """Flows of the component containing ``start``, stamped with ``token``.
@@ -732,7 +716,6 @@ class FlowNetwork:
         planner modes therefore arm identical alarms.
         """
         heap = self._completion_heap
-        telemetry = self.telemetry
         frontier = math.inf
         ties: list[Flow] = []
         for flow, rate in zip(ordered, rates):
@@ -753,10 +736,5 @@ class FlowNetwork:
                 ties = [flow]
             elif projected == frontier and frontier != math.inf:
                 ties.append(flow)
-            if telemetry is not None:
-                telemetry.event(
-                    "flow.rate", rate, time=now, track="network",
-                    flow=flow.id, tag=flow.tag,
-                )
         for flow in ties:
             heappush(heap, (frontier, flow.id, flow._version, flow))

@@ -110,3 +110,23 @@ class TestSimSlo:
             compute_model=FixedComputeModel(5.0),
         )
         assert [b[0] for b in outcome.extra["slo_breaches"]] == ["done"]
+
+
+class TestRecordVolume:
+    def test_skewed_pull_records_no_per_flow_rate_instants(self):
+        # Unequal files on one shared master uplink: every completion
+        # changes every other flow's max-min rate. The record must stay
+        # one span per flow, not one instant per flow per replan.
+        tasks = 256
+        tel = Telemetry(record=True)
+        outcome = SimulatedEngine(ClusterSpec(num_workers=64)).run(
+            synthetic_dataset("skew", tasks, "64 KB", size_cv=0.01),
+            compute_model=FixedComputeModel(1.0),
+            strategy=StrategyKind.REAL_TIME,
+            telemetry=tel,
+        )
+        assert outcome.tasks_completed == tasks
+        assert not [e for e in tel.events if e.key == "flow.rate"]
+        assert len(tel.events) <= 2 * tasks
+        # Every task pulls its input over at least one retired flow.
+        assert sum(1 for s in tel.spans if s.key == "flow") >= tasks

@@ -5,10 +5,19 @@ import threading
 
 import pytest
 
-from repro.core.fault import RetryPolicy
+from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.strategies import StrategyKind
 from repro.data.partition import PartitionScheme
 from repro.runtime.tcp import TcpEngine
+
+
+def failed_workers(outcome):
+    """Worker ids named by the controller's ``WORKER_FAILED`` events."""
+    return [
+        e.detail.partition(": ")[0]
+        for e in outcome.controller_events
+        if e.kind == "WORKER_FAILED"
+    ]
 
 
 @pytest.fixture
@@ -104,13 +113,12 @@ class TestTcpFailureSemantics:
             input_files,
             command=lambda p: None,
             strategy=StrategyKind.REAL_TIME,
-            crash_worker_on_task={"tcp:0": 2},
+            crash_worker_on_task={"tcp:0": ANY_TASK},
         )
-        # tcp:0 dies when handed task 2; task 2 is lost (no retries).
+        # tcp:0 dies on its first task, which is lost (no retries).
         assert outcome.tasks_lost >= 1
         assert outcome.tasks_completed + outcome.tasks_lost == outcome.tasks_total
-        kinds = [e.kind for e in outcome.controller_events]
-        assert "WORKER_FAILED" in kinds
+        assert failed_workers(outcome) == ["tcp:0"]
 
     def test_worker_crash_with_retry_completes(self, input_files):
         outcome = TcpEngine(num_workers=2, run_timeout=60).run(
@@ -118,7 +126,8 @@ class TestTcpFailureSemantics:
             command=lambda p: None,
             strategy=StrategyKind.REAL_TIME,
             retry_policy=RetryPolicy.resilient(),
-            crash_worker_on_task={"tcp:1": 3},
+            crash_worker_on_task={"tcp:1": ANY_TASK},
         )
         assert outcome.tasks_lost == 0
         assert outcome.tasks_completed == outcome.tasks_total
+        assert failed_workers(outcome) == ["tcp:1"]
