@@ -118,6 +118,7 @@ ledger-check:
 # Runtime chaos: fault-path suites for the real execution planes plus
 # the cross-engine parity suite (simulated vs threaded vs TCP must
 # reach identical outcome digests under equivalent injected faults),
+# crash→rejoin on both real planes (fresh ids, recorded as late joins),
 # the frame-decoder fuzz (hostile bytes raise only ProtocolError), the
 # small-task path's pinned write and executor-hop counts, and staging
 # (link-or-copy, and staging failures accounted as one task error).
@@ -125,6 +126,7 @@ chaos-runtime:
 	$(PYTHON) -m pytest tests/integration/test_chaos_parity.py \
 		tests/runtime/test_tcp_faults.py tests/runtime/test_local_faults.py \
 		tests/runtime/test_faults.py tests/runtime/test_telemetry_ship.py \
+		tests/runtime/test_rejoin_parity.py \
 		tests/runtime/test_protocol_fuzz.py tests/runtime/test_small_task_path.py \
 		tests/runtime/test_staging.py -x -q
 

@@ -41,14 +41,13 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.core.framework import Frieda, FriedaConfig, RunOutcome
+from repro.core.framework import Frieda, RunOutcome
 from repro.core.strategies import StrategyKind
 from repro.data.partition import PartitionScheme
 
 __all__ = [
     "__version__",
     "Frieda",
-    "FriedaConfig",
     "RunOutcome",
     "StrategyKind",
     "PartitionScheme",

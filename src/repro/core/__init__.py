@@ -38,7 +38,7 @@ from repro.core.worker import WorkerLogic
 from repro.core.fault import FaultTracker, RetryPolicy
 from repro.core.elasticity import ElasticityManager, ScaleEvent
 from repro.core.advisor import StrategyAdvisor, RunRecord
-from repro.core.framework import Frieda, FriedaConfig, RunOutcome, TaskRecord
+from repro.core.framework import Frieda, RunOutcome, TaskRecord
 
 __all__ = [
     "Message",
@@ -73,7 +73,6 @@ __all__ = [
     "StrategyAdvisor",
     "RunRecord",
     "Frieda",
-    "FriedaConfig",
     "RunOutcome",
     "TaskRecord",
 ]

@@ -12,13 +12,18 @@ The controller owns configuration and membership, never data:
 
 It also owns the master-side lifecycle all three engines share: run
 set-up (:meth:`ControllerLogic.bind`, :meth:`ControllerLogic.start_master`),
-the liveness sweep (:meth:`ControllerLogic.sweep`), worker loss
+membership (:meth:`ControllerLogic.register`,
+:meth:`ControllerLogic.close_registration`, the scripted
+:meth:`ControllerLogic.on_worker_added` / ``on_worker_removed`` and the
+node lost to fault isolation), the liveness sweep
+(:meth:`ControllerLogic.sweep`), worker loss
 (:meth:`ControllerLogic.on_worker_lost`), task errors
 (:meth:`ControllerLogic.on_task_error`), the observation tick
 (:meth:`ControllerLogic.observe`) and the
 :class:`~repro.core.framework.RunOutcome`, stranded tasks included
 (:meth:`ControllerLogic.outcome`). Engines keep only their timer, wait
-primitive and transport.
+primitive and transport: the registration window and its acks, thread
+spawn and respawn, VM provisioning.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.commands import CommandTemplate
-from repro.core.fault import FaultTracker, RetryPolicy
+from repro.core.elasticity import ElasticityManager
+from repro.core.fault import FaultTracker, RetryPolicy, WorkerHealth
 from repro.core.framework import RunOutcome
 from repro.core.messages import SetPartitionInfo, StartMaster, WorkerFailed
 from repro.core.monitoring import HeartbeatMonitor, Liveness
@@ -91,6 +97,12 @@ class ControllerLogic:
         # node_id → its plans, kept in lockstep with worker_plans so
         # per-node lookups stay O(1) at macro worker counts.
         self._plans_by_node: dict[str, list[WorkerPlan]] = {}
+        # Membership: the node each registered worker is on (the one
+        # per-worker record; wide runs register a worker per task) and
+        # who joined after the close.
+        self._node_of: dict[str, str] = {}
+        self.late_joins: list[str] = []
+        self._registration_closed = False
         # One run's hub, clock, SLO probes and master: set by bind()
         # and start_master().
         self.telemetry: Telemetry = NULL_TELEMETRY
@@ -98,6 +110,7 @@ class ControllerLogic:
         self.dataset: Optional[Dataset] = None
         self.slo: Optional[SloEvaluator] = None
         self.scheduler: Optional[MasterScheduler] = None
+        self.elasticity: Optional[ElasticityManager] = None
 
     # -- run set-up ----------------------------------------------------------
     def bind(
@@ -114,6 +127,8 @@ class ControllerLogic:
         self.telemetry = telemetry
         self.clock = clock
         self.slo = SloEvaluator(tuple(slo_probes), telemetry) if slo_probes else None
+        self.elasticity = ElasticityManager(metrics=telemetry.metrics)
+        self.fault_tracker.on_isolate = self._on_isolated
 
     def start_master(self, time: float = 0.0) -> MasterScheduler:
         """Partition the bound dataset and start the master over it."""
@@ -171,6 +186,65 @@ class ControllerLogic:
         total = sum(p.clones for p in self.worker_plans)
         self.log(time, "FORK_REMOTE_WORKERS", f"{total} clones on {len(self.worker_plans)} nodes")
         return self.worker_plans
+
+    # -- membership --------------------------------------------------------------
+    def register(self, worker_id: str, node_id: str, now: float) -> None:
+        """A worker connected on ``node_id`` (Fig 4 "Initialize and
+        register"). Before :meth:`close_registration` it is initial
+        membership and leaves no trace but its node record; after it,
+        it is a late join (§V-A): listed, logged and counted."""
+        self._enrol(worker_id, node_id)
+        if self._registration_closed:
+            self.late_joins.append(worker_id)
+            self.log(now, "WORKER_JOINED_LATE", worker_id)
+            self.elasticity.node_added(now, node_id, reason="late-join")
+
+    def _enrol(self, worker_id: str, node_id: str) -> None:
+        self.scheduler.register_worker(worker_id)
+        self._node_of[worker_id] = node_id
+
+    def close_registration(
+        self,
+        now: float,
+        workers: Sequence[str],
+        *,
+        expected: Sequence[str] = (),
+        chunking: str = "contiguous",
+        cost_hint: Callable[[TaskGroup], float] | None = None,
+    ) -> None:
+        """Registration is over: the run proceeds with ``workers``. An
+        ``expected`` worker that never registered is logged; the static
+        chunks are cut over ``workers`` in the order given; the nodes
+        of the healthy ones become the active membership."""
+        missing = sorted(set(expected).difference(workers))
+        if missing:
+            self.log(
+                now, "REGISTRATION_WINDOW_CLOSED", f"proceeding without {','.join(missing)}"
+            )
+        self.scheduler.partition_among(workers, chunking=chunking, cost_hint=cost_hint)
+        faults = self.fault_tracker
+        self.elasticity.active_nodes.update(
+            self._node_of[w] for w in workers if not faults.is_isolated(w)
+        )
+        self._registration_closed = True
+
+    def workers_on(self, node_id: str) -> list[str]:
+        """Every worker ever registered on ``node_id``, removed ones too,
+        in registration order. A scan: only node deaths ask."""
+        return [w for w, node in self._node_of.items() if node == node_id]
+
+    def _on_isolated(self, worker_id: str, health: WorkerHealth) -> None:
+        """Fault-tracker hook: the first time every worker registered on
+        an active node is isolated, the node is lost — a capacity change
+        the elasticity log records. A scripted removal already took the
+        node out of the active set, so it is never lost twice."""
+        node_id = self._node_of.get(worker_id)
+        if node_id not in self.elasticity.active_nodes:
+            return
+        faults = self.fault_tracker
+        if all(faults.is_isolated(w) for w in self.workers_on(node_id)):
+            self.elasticity.node_removed(self.clock(), node_id, reason="fault-isolation")
+            self.telemetry.event("elastic.node_lost", node_id, track="control")
 
     # -- run-time reports -----------------------------------------------------
     def sweep(
@@ -269,17 +343,23 @@ class ControllerLogic:
         return retried
 
     def on_worker_added(self, node_id: str, cores: int, time: float = 0.0) -> WorkerPlan:
-        """Elastic join (§V-A): "Addition of any new worker goes through
-        the controller"."""
+        """Scripted elastic join (§V-A): "Addition of any new worker
+        goes through the controller". The node's clones are registered
+        here, as one scripted addition rather than late joins."""
         plan = WorkerPlan(node_id=node_id, cores=cores, clones=cores if self.multicore else 1)
         self.worker_plans.append(plan)
         self._plans_by_node.setdefault(node_id, []).append(plan)
+        self.elasticity.node_added(time, node_id, reason="scenario")
         self.log(time, "WORKER_ADDED", f"{node_id} ({plan.clones} clones)")
+        for wid in plan.worker_ids:
+            self._enrol(wid, node_id)
         return plan
 
     def on_worker_removed(self, node_id: str, time: float = 0.0) -> None:
+        """Scripted elastic removal (§V-A)."""
         self.worker_plans = [p for p in self.worker_plans if p.node_id != node_id]
         self._plans_by_node.pop(node_id, None)
+        self.elasticity.node_removed(time, node_id, reason="scenario")
         self.log(time, "WORKER_REMOVED", node_id)
 
     def plans_for(self, node_id: str) -> tuple[WorkerPlan, ...]:
@@ -305,7 +385,8 @@ class ControllerLogic:
     # -- outcome ---------------------------------------------------------------
     def outcome(self, *, extra: dict[str, Any] | None = None, **fields: Any) -> RunOutcome:
         """The run's :class:`RunOutcome`: configuration, task counts,
-        audit log, declared-dead nodes and SLO breaches from here;
+        audit log, declared-dead nodes, late joins, elasticity log and
+        SLO breaches from here;
         timings, records and the engine's own ``extra`` entries from the
         engine.
 
@@ -335,6 +416,8 @@ class ControllerLogic:
             extra={
                 **(extra or {}),
                 "nodes_declared_dead": sorted(self.nodes_declared_dead),
+                "late_joins": sorted(self.late_joins),
+                "elasticity_events": list(self.elasticity.events),
                 "slo_breaches": [
                     (b.probe, b.signal, b.value, b.threshold) for b in breaches
                 ],

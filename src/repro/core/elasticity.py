@@ -4,10 +4,10 @@
 Addition of any new worker goes through the controller which establishes
 the connection between the master and the workers."
 
-:class:`ElasticityManager` is that bookkeeping plus the *transparent
-elasticity* extension the paper lists as future work: an optional
-:class:`AutoScalePolicy` that watches queue depth and recommends scale
-actions without user interaction.
+:class:`ElasticityManager` is that bookkeeping: which nodes are active
+and every membership change, with its reason. The
+:class:`~repro.core.controller.ControllerLogic` owns the one instance a
+run has and makes every decision that feeds it.
 """
 
 from __future__ import annotations
@@ -22,51 +22,20 @@ class ScaleEvent:
     """One elasticity action that happened."""
 
     time: float
-    action: str  # "add" | "remove" | "recommend_add" | "recommend_remove"
+    action: str  # "add" | "remove"
     node_id: str
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class AutoScalePolicy:
-    """Threshold policy for transparent elasticity (extension).
-
-    Recommends adding a node while ``queued / active_workers`` exceeds
-    ``scale_up_ratio`` (up to ``max_nodes``), and removing one when the
-    queue has drained below ``scale_down_ratio`` tasks per worker.
-    """
-
-    scale_up_ratio: float = 8.0
-    scale_down_ratio: float = 1.0
-    max_nodes: int = 16
-    min_nodes: int = 1
-
-    def recommend(self, queued: int, active_nodes: int) -> str:
-        if active_nodes <= 0:
-            return "add"
-        per_worker = queued / active_nodes
-        if per_worker > self.scale_up_ratio and active_nodes < self.max_nodes:
-            return "add"
-        if per_worker < self.scale_down_ratio and active_nodes > self.min_nodes:
-            return "remove"
-        return "hold"
-
-
 class ElasticityManager:
-    """Tracks membership changes and applies the auto-scale policy."""
+    """Tracks membership changes."""
 
-    def __init__(
-        self,
-        policy: AutoScalePolicy | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.policy = policy
+    def __init__(self, metrics: MetricsRegistry | None = None):
         self.events: list[ScaleEvent] = []
         self.active_nodes: set[str] = set()
         metrics = metrics if metrics is not None else NULL_METRICS
         self._m_added = metrics.counter("elasticity.added")
         self._m_removed = metrics.counter("elasticity.removed")
-        self._metrics = metrics
 
     def node_added(self, time: float, node_id: str, reason: str = "user") -> None:
         self.active_nodes.add(node_id)
@@ -77,18 +46,6 @@ class ElasticityManager:
         self.active_nodes.discard(node_id)
         self.events.append(ScaleEvent(time, "remove", node_id, reason))
         self._m_removed.inc()
-
-    def evaluate(self, time: float, queued: int) -> str:
-        """Consult the auto-scale policy; returns add/remove/hold."""
-        if self.policy is None:
-            return "hold"
-        action = self.policy.recommend(queued, len(self.active_nodes))
-        if action != "hold":
-            self.events.append(
-                ScaleEvent(time, f"recommend_{action}", "", f"queued={queued}")
-            )
-            self._metrics.counter("elasticity.recommendations", action=action).inc()
-        return action
 
     @property
     def additions(self) -> int:

@@ -88,8 +88,8 @@ class FaultTracker:
         self._health: dict[str, WorkerHealth] = {}
         #: Optional callback fired exactly once per worker, on its
         #: transition into isolation: ``on_isolate(worker_id, health)``.
-        #: The engine wires this to the elasticity manager so the
-        #: auto-scaler sees true capacity (detection → rescale).
+        #: The controller wires this to its node-lost rule, so
+        #: isolation shows up as a capacity change.
         self.on_isolate = None
 
     def _entry(self, worker_id: str) -> WorkerHealth:

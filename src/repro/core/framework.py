@@ -99,18 +99,6 @@ class RunOutcome:
         )
 
 
-@dataclass
-class FriedaConfig:
-    """Engine-independent run configuration."""
-
-    strategy: StrategyKind | str = StrategyKind.REAL_TIME
-    grouping: PartitionScheme | str = PartitionScheme.SINGLE
-    grouping_options: dict = field(default_factory=dict)
-    multicore: bool = True
-    retry_policy: Optional[Any] = None  # core.fault.RetryPolicy
-    isolate_after: int = 1
-
-
 class Frieda:
     """Facade over the engines. Construct via the classmethods."""
 

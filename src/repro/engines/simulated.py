@@ -40,7 +40,6 @@ from repro.cloud.failures import (
 from repro.cloud.instance import InstanceType, VirtualMachine
 from repro.cloud.storage import StorageTier
 from repro.core.controller import ControllerLogic
-from repro.core.elasticity import AutoScalePolicy, ElasticityManager
 from repro.core.commands import CommandTemplate
 from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.monitoring import HeartbeatConfig, HeartbeatMonitor
@@ -113,10 +112,6 @@ class SimulationOptions:
     #: entirely (paper-faithful: only broken connections report loss).
     heartbeat_interval: float = 0.0
     heartbeat_config: Optional[HeartbeatConfig] = None
-    #: Auto-scale recommendations (extension): consulted when fault
-    #: isolation shrinks the cluster, so the run's event log records
-    #: what a transparent-elasticity controller would have done.
-    autoscale_policy: Optional[AutoScalePolicy] = None
     #: Data-movement retry (extension; default paper-faithful: one
     #: attempt, no timeout, a lost transfer costs the whole task).
     transfer_retry: TransferRetryPolicy = field(
@@ -377,9 +372,6 @@ class _SimulatedRun:
         self._sample_queue = telemetry is not None
         self._run_span: Optional[SpanHandle] = None
         self._h_exec = tel.metrics.histogram("task.exec_seconds")
-        self.elasticity_mgr = ElasticityManager(
-            policy=self.options.autoscale_policy, metrics=tel.metrics
-        )
 
         self.cluster: Optional[VirtualCluster] = None
         self.scheduler: Optional[MasterScheduler] = None
@@ -563,9 +555,6 @@ class _SimulatedRun:
             fault_model=fault_model,
             seed=self.options.seed,
         )
-        # Detection → rescale: the moment fault isolation empties a
-        # node, the elasticity manager learns true capacity.
-        self.controller.fault_tracker.on_isolate = self._on_worker_isolated
 
         # Source data lands on the master's disk (the master "runs close
         # to the source of the input data", §II-B) or on the shared
@@ -594,11 +583,13 @@ class _SimulatedRun:
         )
         for plan in plans:
             for wid in plan.worker_ids:
-                self.scheduler.register_worker(wid)
+                self.controller.register(wid, plan.node_id, env.now)
                 self.worker_logics[wid] = WorkerLogic(
                     wid, plan.node_id, self.controller.command
                 )
-        self.scheduler.partition_among(
+        self.controller.close_registration(
+            env.now,
+            list(self.worker_logics),
             chunking=self.static_chunking,
             cost_hint=(
                 self.compute_model.cost if self.static_chunking == "lpt_cost" else None
@@ -622,7 +613,6 @@ class _SimulatedRun:
 
         # 5. Execution phase: spawn worker clones; watch for failures;
         #    apply scripted elasticity.
-        self.elasticity_mgr.active_nodes.update(vm.vm_id for vm in worker_nodes)
         if self.options.heartbeat_interval > 0:
             self.heartbeats = HeartbeatMonitor(
                 self.options.heartbeat_config, metrics=tel.metrics
@@ -784,7 +774,7 @@ class _SimulatedRun:
             yield self.env.timeout(interval)
             if self.run_done.triggered:
                 return
-            self.controller.sweep(self.heartbeats, self.env.now, self._clones_on)
+            self.controller.sweep(self.heartbeats, self.env.now, self.controller.workers_on)
             self._maybe_finish()
 
     def _observe_loop(self):
@@ -805,33 +795,6 @@ class _SimulatedRun:
             if self.run_done.triggered:
                 return
             self.controller.observe(self.env.now, sample_queue=self._sample_queue)
-
-    def _clones_on(self, node_id: str) -> list[str]:
-        """Every worker id ever hosted on the node (removed nodes too)."""
-        return [
-            w for w, logic in self.worker_logics.items() if logic.node_id == node_id
-        ]
-
-    def _on_worker_isolated(self, worker_id: str, health) -> None:
-        """FaultTracker callback: once every clone on a node is
-        isolated, tell the elasticity manager the node is gone and let
-        the auto-scale policy (if any) recommend a replacement."""
-        logic = self.worker_logics.get(worker_id)
-        if logic is None:
-            return
-        node_id = logic.node_id
-        faults = self.controller.fault_tracker
-        if not all(faults.is_isolated(w) for w in self._clones_on(node_id)):
-            return
-        if node_id not in self.elasticity_mgr.active_nodes:
-            return  # scripted removal already accounted for it
-        self.elasticity_mgr.node_removed(self.env.now, node_id, reason="fault-isolation")
-        self.telemetry.event("elastic.node_lost", node_id, track="control")
-        if self.elasticity_mgr.policy is not None and self.scheduler is not None:
-            queued = max(
-                0, self.scheduler.outstanding - self.scheduler.in_flight_count
-            )
-            self.elasticity_mgr.evaluate(self.env.now, queued)
 
     def _worker_loop(self, vm: VirtualMachine, logic: WorkerLogic):
         env = self.env
@@ -1200,10 +1163,8 @@ class _SimulatedRun:
             self.telemetry.event(
                 "elastic.add", vm.vm_id, track="control", itype=action.instance_type
             )
-            self.elasticity_mgr.node_added(env.now, vm.vm_id, reason="scenario")
             plan = self.controller.on_worker_added(vm.vm_id, vm.itype.cores, env.now)
             for wid in plan.worker_ids:
-                self.scheduler.register_worker(wid)
                 self.worker_logics[wid] = WorkerLogic(
                     wid, vm.vm_id, self.controller.command
                 )
@@ -1221,7 +1182,6 @@ class _SimulatedRun:
                 self.telemetry.event(
                     "elastic.remove", node_id, track="control", snapshot=action.snapshot
                 )
-                self.elasticity_mgr.node_removed(env.now, node_id, reason="scenario")
                 self.controller.on_worker_removed(node_id, env.now)
                 if action.snapshot:
                     yield from self._snapshot_outputs(node_id)

@@ -10,6 +10,7 @@ chunk in a pre-partitioned run literally sticks out.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, is_dataclass
 from typing import Any
 
 from repro.core.framework import RunOutcome
@@ -47,7 +48,8 @@ def outcome_to_dict(outcome: RunOutcome) -> dict[str, Any]:
             for r in outcome.task_records
         ],
         "extra": {
-            k: v
+            # Record lists (the elasticity log) become plain dicts.
+            k: [asdict(x) if is_dataclass(x) else x for x in v] if isinstance(v, list) else v
             for k, v in outcome.extra.items()
             if isinstance(v, (int, float, str, bool, list))
         },

@@ -11,9 +11,9 @@ command templating — demonstrating the control/execution separation.
 """
 
 from repro.runtime.local import ThreadedEngine
-from repro.runtime.protocol import read_frame, write_frame, FrameReader
+from repro.runtime.protocol import read_frame, write_frame
 
-__all__ = ["ThreadedEngine", "TcpEngine", "read_frame", "write_frame", "FrameReader"]
+__all__ = ["ThreadedEngine", "TcpEngine", "read_frame", "write_frame"]
 
 
 def __getattr__(name: str):

@@ -232,7 +232,8 @@ class ThreadedEngine:
         ``respawn_after_crash`` maps a worker id to a delay: that many
         seconds after its crash is detected, a replacement thread joins
         under a fresh id minted by the shared rejoin policy
-        (``local:0`` → ``local:0:r1``), mirroring the TCP engine.
+        (``local:0`` → ``local:0:r1``) and is recorded as a late join,
+        mirroring the TCP engine.
         """
         crash_map = crash_worker_on_task or {}
         hang_map = hang_worker_on_task or {}
@@ -257,8 +258,8 @@ class ThreadedEngine:
         wakeup = threading.Condition()
         worker_ids = [f"local:{i}" for i in range(self.num_workers)]
         for wid in worker_ids:
-            scheduler.register_worker(wid)
-        scheduler.partition_among()
+            controller.register(wid, "localhost", clock())
+        controller.close_registration(clock(), worker_ids)
 
         # Histogram created up front: the registry's get-or-create dict is
         # not thread-safe, so worker threads only ever *observe*.
@@ -341,7 +342,7 @@ class ThreadedEngine:
                 if controller.strategy.data_local_to_workers:
                     _mark_resident(logic, dataset)
                 with wakeup:
-                    scheduler.register_worker(fresh)
+                    controller.register(fresh, "localhost", clock())
                 tel.event("node.respawned", fresh, track="control")
                 spawn(fresh)
 

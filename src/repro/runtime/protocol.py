@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.messages import (
     FileData,
@@ -186,45 +186,3 @@ class Channel:
             await self.writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError):
             pass
-
-
-class FrameReader:
-    """Synchronous incremental frame decoder (for tests and non-asyncio use).
-
-    Feed bytes with :meth:`feed`; completed ``(message, payload)``
-    pairs come back from :meth:`pop`. A checksum mismatch raises after
-    the offending frame has been consumed from the buffer; feeding
-    ``b""`` resumes decoding of any bytes already buffered.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._frames: list[tuple[Message, bytes]] = []
-
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-        while True:
-            if len(self._buffer) < _LEN.size:
-                return
-            (length,) = _LEN.unpack(self._buffer[: _LEN.size])
-            if length > MAX_FRAME:
-                raise ProtocolError(f"frame length {length} exceeds maximum")
-            if len(self._buffer) < _LEN.size + length:
-                return
-            body = bytes(self._buffer[_LEN.size : _LEN.size + length])
-            message = decode_message(body)
-            total = _LEN.size + length + _payload_len(message)
-            if len(self._buffer) < total:
-                return
-            payload = bytes(self._buffer[_LEN.size + length : total])
-            del self._buffer[:total]
-            _verify_payload(message, payload)
-            self._frames.append((message, payload))
-
-    def pop(self) -> Optional[tuple[Message, bytes]]:
-        if self._frames:
-            return self._frames.pop(0)
-        return None
-
-    def __len__(self) -> int:
-        return len(self._frames)

@@ -22,8 +22,8 @@ Fault tolerance (runtime twin of the simulated engine's fault model):
 - **Wire liveness**: workers emit ``HEARTBEAT`` frames; the master
   drives a :class:`~repro.core.monitoring.HeartbeatMonitor` so a *hung*
   worker (connection open, no beats) is declared dead and recovered
-  through the same ``worker_lost`` → requeue → isolate →
-  :class:`~repro.core.elasticity.ElasticityManager` path a broken
+  through the same ``worker_lost`` → requeue → isolate → node-lost
+  path (:class:`~repro.core.controller.ControllerLogic`) a broken
   connection takes.
 - **Payload integrity**: ``FILE_DATA`` frames are checksummed; a
   corrupt payload triggers a bounded ``RESEND_FILE`` re-request.
@@ -51,7 +51,6 @@ from typing import BinaryIO, Callable, Optional, Sequence
 
 from repro.core.commands import CommandTemplate
 from repro.core.controller import ControllerLogic
-from repro.core.elasticity import ElasticityManager
 from repro.core.fault import ANY_TASK, RetryPolicy
 from repro.core.framework import RunOutcome, TaskRecord
 from repro.core.identity import RejoinIdMinter, scratch_name
@@ -244,26 +243,22 @@ class TcpEngine:
         dataset, scheduler = controller.dataset, controller.scheduler
         tel = controller.telemetry
         worker_ids = [f"tcp:{i}" for i in range(self.num_workers)]
-        expected = [w for w in worker_ids if w not in pre_register_crashes]
         monitor = (
             HeartbeatMonitor(self.heartbeat_config, metrics=tel.metrics)
             if self.heartbeat_interval > 0
             else None
         )
-        elasticity = ElasticityManager(metrics=tel.metrics)
         master = _Master(
             controller,
             worker_ids,
             registration_window=self.registration_window,
             heartbeats=monitor,
             heartbeat_interval=self.heartbeat_interval,
-            elasticity=elasticity,
             fault_script=fault_script,
             crash_after_tasks=crash_master_after_tasks,
             merger=TelemetryMerger(tel) if tel.record else None,
             observe_interval=self.telemetry_interval,
         )
-        controller.fault_tracker.on_isolate = master.on_worker_isolated
         server = await asyncio.start_server(master.handle_client, self.host, 0)
         port = server.sockets[0].getsockname()[1]
         run_span = tel.start_span(
@@ -362,10 +357,8 @@ class TcpEngine:
                 "retransmits": master.retransmits,
                 "reissued_requests": master.reissued,
                 "stale_statuses": master.stale_statuses,
-                "late_joins": sorted(master.late_joins),
                 "master_crashed": master.crashed,
                 "injected_faults": list(fault_script.injected) if fault_script else [],
-                "elasticity_events": list(elasticity.events),
                 "telemetry_batches": (
                     master.merger.batches_received if master.merger else 0
                 ),
@@ -386,7 +379,6 @@ class _Master:
         registration_window: float,
         heartbeats: HeartbeatMonitor | None,
         heartbeat_interval: float,
-        elasticity: ElasticityManager,
         fault_script: FaultScript | None = None,
         crash_after_tasks: int | None = None,
         merger: TelemetryMerger | None = None,
@@ -400,7 +392,6 @@ class _Master:
         self.registration_window = registration_window
         self.heartbeats = heartbeats
         self.heartbeat_interval = heartbeat_interval
-        self.elasticity = elasticity
         self.telemetry = controller.telemetry
         self.fault_script = fault_script
         self.crash_after_tasks = crash_after_tasks
@@ -419,7 +410,6 @@ class _Master:
         self.transfer_seconds = 0.0
         self.partition_ready = asyncio.Event()
         self.run_done = asyncio.Event()
-        self.late_joins: set[str] = set()
         self.retransmits = 0
         self.reissued = 0
         self.stale_statuses = 0
@@ -475,14 +465,9 @@ class _Master:
             # (the engine's run_timeout is the backstop).
             self._registration_changed.clear()
             await self._registration_changed.wait()
-        missing = sorted(self.expected - self.registered)
-        if missing:
-            self.controller.log(
-                self.clock(),
-                "REGISTRATION_WINDOW_CLOSED",
-                f"proceeding without {','.join(missing)}",
-            )
-        self.scheduler.partition_among(sorted(self.registered))
+        self.controller.close_registration(
+            self.clock(), sorted(self.registered), expected=self.expected
+        )
         self._partitioned = True
         self.partition_ready.set()
 
@@ -524,12 +509,6 @@ class _Master:
         task = asyncio.create_task(_send())
         self._ack_tasks.add(task)
         task.add_done_callback(self._ack_tasks.discard)
-
-    def on_worker_isolated(self, wid: str, health: object) -> None:
-        """FaultTracker callback: isolation is a capacity change."""
-        if wid in self.elasticity.active_nodes:
-            self.elasticity.node_removed(self.clock(), wid, reason="fault-isolation")
-            self.telemetry.event("elastic.node_lost", wid, track="control")
 
     def _crash(self) -> None:
         """Injected master failure: stop serving, drop every connection."""
@@ -659,18 +638,12 @@ class _Master:
                 )
                 return
             wid = message.worker_id
-            self.scheduler.register_worker(wid)
+            # Each TCP worker is its own node.
+            self.controller.register(wid, wid, now)
             self.registered.add(wid)
             self.channels[wid] = channel
             if self.heartbeats is not None:
                 self.heartbeats.beat(wid, now)
-            late = self.partition_ready.is_set()
-            self.elasticity.node_added(
-                now, wid, reason="late-join" if late else "registered"
-            )
-            if late:
-                self.late_joins.add(wid)
-                self.controller.log(now, "WORKER_JOINED_LATE", wid)
             self._registration_changed.set()
             await channel.send(
                 ConnectionAck(

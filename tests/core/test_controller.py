@@ -110,13 +110,16 @@ class TestRuntimeReports:
         assert _kinds(controller, "WORKER_ISOLATED") == []
         assert tel.metrics.snapshot()["counters"]["scheduler.task_errors"] == 1
 
-    def test_elastic_add(self, controller):
+    def test_elastic_add(self):
+        controller, scheduler, _ = _running()
         controller.plan_workers([("n0", 4)])
         plan = controller.on_worker_added("n9", cores=2, time=30.0)
         assert plan.worker_ids == ("n9:0", "n9:1")
         assert len(controller.worker_plans) == 2
+        assert scheduler.workers[-2:] == ("n9:0", "n9:1")
 
-    def test_elastic_remove(self, controller):
+    def test_elastic_remove(self):
+        controller, _, _ = _running()
         controller.plan_workers([("n0", 4), ("n1", 4)])
         controller.on_worker_removed("n0", time=10.0)
         assert [p.node_id for p in controller.worker_plans] == ["n1"]
@@ -215,6 +218,154 @@ class TestWorkerLost:
         assert [e.key for e in tel.events] == ["node.declared_dead"]
 
 
+def _bound(strategy=StrategyKind.REAL_TIME):
+    """A bound controller with its master started over four one-file
+    tasks and nobody registered yet."""
+    controller = ControllerLogic(strategy=strategy, grouping=PartitionScheme.SINGLE)
+    tel = Telemetry(record=True)
+    controller.bind(synthetic_dataset("d", 4, 10), tel, lambda: 7.0)
+    return controller, controller.start_master(), tel
+
+
+def _counters(tel):
+    counters = tel.metrics.snapshot()["counters"]
+    return counters["elasticity.added"], counters["elasticity.removed"]
+
+
+class TestMembership:
+    def test_registration_before_the_close_is_silent(self):
+        controller, scheduler, tel = _bound()
+        controller.register("w0", "n0", 1.0)
+        controller.register("w1", "n1", 1.0)
+        assert scheduler.workers == ("w0", "w1")
+        assert [e.kind for e in controller.events] == ["PARTITION_GENERATED"]
+        assert controller.late_joins == []
+        assert controller.elasticity.events == []
+        assert _counters(tel) == (0, 0)
+        assert list(controller.workers_on("n0")) == ["w0"]
+
+    def test_registration_after_the_close_is_a_late_join(self):
+        controller, scheduler, tel = _bound()
+        controller.register("w0", "n0", 1.0)
+        controller.close_registration(2.0, ["w0"])
+        controller.register("w0:r1", "n1", 5.0)
+        assert scheduler.workers == ("w0", "w0:r1")
+        assert controller.late_joins == ["w0:r1"]
+        (event,) = _events(controller, "WORKER_JOINED_LATE")
+        assert (event.time, event.detail) == (5.0, "w0:r1")
+        assert [(e.action, e.node_id, e.reason) for e in controller.elasticity.events] == [
+            ("add", "n1", "late-join")
+        ]
+        assert _counters(tel) == (1, 0)
+        outcome = controller.outcome(makespan=1.0, transfer_time=0.0, execution_time=0.0)
+        assert outcome.extra["late_joins"] == ["w0:r1"]
+        assert outcome.extra["elasticity_events"] == controller.elasticity.events
+
+    def test_close_logs_the_missing_expected_workers(self):
+        controller, _, _ = _bound()
+        for wid in ("w0", "w2"):
+            controller.register(wid, wid, 1.0)
+        controller.close_registration(3.0, ["w0", "w2"], expected=("w0", "w1", "w2", "w3"))
+        (event,) = _events(controller, "REGISTRATION_WINDOW_CLOSED")
+        assert (event.time, event.detail) == (3.0, "proceeding without w1,w3")
+        assert controller.elasticity.active_nodes == {"w0", "w2"}
+
+    def test_close_with_everyone_present_logs_nothing(self):
+        controller, _, _ = _bound()
+        controller.register("w0", "n0", 1.0)
+        controller.close_registration(3.0, ["w0"], expected=("w0",))
+        assert _events(controller, "REGISTRATION_WINDOW_CLOSED") == []
+        assert controller.elasticity.active_nodes == {"n0"}
+
+    def test_close_partitions_in_the_order_given(self):
+        controller, scheduler, _ = _bound(StrategyKind.PRE_PARTITIONED_REMOTE)
+        for wid in ("w0", "w1"):
+            controller.register(wid, "n0", 1.0)
+        controller.close_registration(2.0, ["w1", "w0"])
+        first = [g.index for g in scheduler.planned_chunk("w1")]
+        second = [g.index for g in scheduler.planned_chunk("w0")]
+        assert first + second == sorted(first + second)
+        assert first and second
+
+    def test_scripted_clones_are_not_late_joins(self):
+        controller, scheduler, tel = _bound()
+        controller.register("n0:0", "n0", 1.0)
+        controller.close_registration(1.0, ["n0:0"])
+        controller.on_worker_added("n9", cores=2, time=4.0)
+        assert scheduler.workers == ("n0:0", "n9:0", "n9:1")
+        assert controller.late_joins == []
+        assert _events(controller, "WORKER_JOINED_LATE") == []
+        assert [e.detail for e in _events(controller, "WORKER_ADDED")] == ["n9 (2 clones)"]
+        assert _counters(tel) == (1, 0)
+
+
+class TestIsolationRule:
+    def _membership(self):
+        controller, scheduler, tel = _bound()
+        for wid, node in (("a0", "n0"), ("a1", "n0"), ("b0", "n1")):
+            controller.register(wid, node, 0.0)
+        controller.close_registration(0.0, ["a0", "a1", "b0"])
+        return controller, tel
+
+    @staticmethod
+    def _losses(controller):
+        return [
+            (e.node_id, e.reason)
+            for e in controller.elasticity.events
+            if e.action == "remove"
+        ]
+
+    def test_node_lost_once_after_its_last_worker(self):
+        controller, tel = self._membership()
+        controller.on_worker_lost("a0", "n0", "gone", 1.0)
+        assert self._losses(controller) == []
+        assert "n0" in controller.elasticity.active_nodes
+        controller.on_worker_lost("a1", "n0", "gone", 2.0)
+        assert self._losses(controller) == [("n0", "fault-isolation")]
+        assert controller.elasticity.events[-1].time == 7.0  # the bound clock
+        controller.fault_tracker.record_error("a1", "late error")
+        controller.on_worker_lost("b0", "n1", "gone", 3.0)
+        assert self._losses(controller) == [
+            ("n0", "fault-isolation"),
+            ("n1", "fault-isolation"),
+        ]
+        assert [(e.key, e.value) for e in tel.events if e.key == "elastic.node_lost"] == [
+            ("elastic.node_lost", "n0"),
+            ("elastic.node_lost", "n1"),
+        ]
+        assert _counters(tel) == (0, 2)
+
+    def test_isolation_by_errors_counts_too(self):
+        controller, _ = self._membership()
+        controller.fault_tracker.record_error("b0", "segfault")  # isolate_after=1
+        assert self._losses(controller) == [("n1", "fault-isolation")]
+
+    def test_never_lost_after_a_scripted_removal(self):
+        controller, tel = self._membership()
+        controller.on_worker_added("n9", cores=2, time=1.0)
+        controller.on_worker_removed("n9", time=2.0)
+        controller.on_worker_lost("n9:0", "n9", "vm gone", 3.0)
+        controller.on_worker_lost("n9:1", "n9", "vm gone", 3.0)
+        assert [(e.action, e.node_id, e.reason) for e in controller.elasticity.events] == [
+            ("add", "n9", "scenario"),
+            ("remove", "n9", "scenario"),
+        ]
+        assert _counters(tel) == (1, 1)
+
+    def test_worker_dead_before_the_close_never_makes_its_node_active(self):
+        controller, scheduler, _ = _bound()
+        controller.register("a0", "n0", 0.0)
+        controller.register("b0", "n1", 0.0)
+        controller.on_worker_lost("a0", "n0", "gone", 0.5)
+        controller.close_registration(1.0, ["a0", "b0"])
+        assert controller.elasticity.active_nodes == {"n1"}
+        assert self._losses(controller) == []
+
+
+def _events(controller, kind):
+    return [e for e in controller.events if e.kind == kind]
+
+
 class TestOutcome:
     def test_common_fields_come_from_the_controller(self):
         controller, scheduler, _ = _running()
@@ -226,7 +377,13 @@ class TestOutcome:
         assert outcome.strategy is StrategyKind.REAL_TIME
         assert outcome.grouping is PartitionScheme.SINGLE
         assert (outcome.tasks_total, outcome.tasks_completed) == (4, 4)
-        assert outcome.extra == {"k": 1, "nodes_declared_dead": [], "slo_breaches": []}
+        assert outcome.extra == {
+            "k": 1,
+            "nodes_declared_dead": [],
+            "late_joins": [],
+            "elasticity_events": [],
+            "slo_breaches": [],
+        }
         assert [e.kind for e in outcome.controller_events] == ["PARTITION_GENERATED"]
 
 
@@ -267,29 +424,58 @@ class TestSweep:
         assert outcome.extra["nodes_declared_dead"] == ["n0"]
 
 
+class TestOneMembershipPath:
+    def test_engines_decide_membership_only_through_the_controller(self):
+        """Registration, the partition close and the node-lost rule live
+        once, in ``ControllerLogic``: no engine or runtime module
+        registers a worker with the scheduler, cuts the static chunks,
+        keeps its own elasticity manager or hooks fault isolation."""
+        offenders = [
+            f"{where} {name}"
+            for where, name, _ in _engine_calls()
+            if name in ("register_worker", "partition_among", "ElasticityManager")
+        ]
+        offenders += [
+            f"{where} .on_isolate ="
+            for where, node in _engine_nodes()
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in getattr(node, "targets", None) or [node.target]
+            if isinstance(target, ast.Attribute) and target.attr == "on_isolate"
+        ]
+        assert offenders == []
+
+
+def _engine_nodes():
+    """(location, node) of every AST node under ``engines/`` and
+    ``runtime/``."""
+    package = Path(repro.__file__).parent
+    for sub in ("engines", "runtime"):
+        for path in sorted((package / sub).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                yield f"{path.relative_to(package)}:{getattr(node, 'lineno', 0)}", node
+
+
+def _engine_calls():
+    """(location, callee name, receiver name) of every call under
+    ``engines/`` and ``runtime/``; the receiver is the last name before
+    the dot (``self.controller.sweep`` → ``controller``)."""
+    for where, node in _engine_nodes():
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        receiver = ""
+        if isinstance(func, ast.Attribute):
+            name, value = func.attr, func.value
+            receiver = (
+                value.attr if isinstance(value, ast.Attribute)
+                else getattr(value, "id", "")
+            )
+        else:
+            name = getattr(func, "id", "")
+        yield where, name, receiver
+
+
 class TestOneLossPath:
-    @staticmethod
-    def _calls(*subs):
-        """(location, callee name, receiver name) of every call under
-        the given packages; the receiver is the last name before the
-        dot (``self.controller.sweep`` → ``controller``)."""
-        package = Path(repro.__file__).parent
-        for sub in subs:
-            for path in sorted((package / sub).rglob("*.py")):
-                for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    func = node.func
-                    receiver = ""
-                    if isinstance(func, ast.Attribute):
-                        name, value = func.attr, func.value
-                        receiver = (
-                            value.attr if isinstance(value, ast.Attribute)
-                            else getattr(value, "id", "")
-                        )
-                    else:
-                        name = getattr(func, "id", "")
-                    yield f"{path.relative_to(package)}:{node.lineno}", name, receiver
 
     def test_engines_report_loss_only_through_the_controller(self):
         """No engine or runtime module requeues a lost worker's tasks or
@@ -297,7 +483,7 @@ class TestOneLossPath:
         is the one path, so the three planes cannot drift apart again."""
         offenders = [
             f"{where} {name}"
-            for where, name, _ in self._calls("engines", "runtime")
+            for where, name, _ in _engine_calls()
             if name in ("worker_lost", "WorkerFailed")
         ]
         assert offenders == []
@@ -310,7 +496,7 @@ class TestOneLossPath:
         rule."""
         offenders = [
             f"{where} {receiver}.{name}"
-            for where, name, receiver in self._calls("engines", "runtime")
+            for where, name, receiver in _engine_calls()
             if (name == "sweep" and receiver != "controller")
             or (name == "evaluate" and receiver == "slo")
         ]

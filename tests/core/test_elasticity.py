@@ -1,6 +1,6 @@
 """Unit tests for elasticity management."""
 
-from repro.core.elasticity import AutoScalePolicy, ElasticityManager
+from repro.core.elasticity import ElasticityManager
 
 
 class TestElasticityManager:
@@ -19,39 +19,3 @@ class TestElasticityManager:
         mgr.node_removed(9.0, "n0", reason="drain")
         assert [e.action for e in mgr.events] == ["add", "remove"]
         assert mgr.events[1].reason == "drain"
-
-    def test_no_policy_always_holds(self):
-        mgr = ElasticityManager()
-        assert mgr.evaluate(0.0, queued=1000) == "hold"
-
-
-class TestAutoScalePolicy:
-    def test_scale_up_on_deep_queue(self):
-        policy = AutoScalePolicy(scale_up_ratio=8.0)
-        assert policy.recommend(queued=100, active_nodes=4) == "add"
-
-    def test_hold_in_band(self):
-        policy = AutoScalePolicy(scale_up_ratio=8.0, scale_down_ratio=1.0)
-        assert policy.recommend(queued=16, active_nodes=4) == "hold"
-
-    def test_scale_down_when_drained(self):
-        policy = AutoScalePolicy(scale_down_ratio=1.0, min_nodes=1)
-        assert policy.recommend(queued=1, active_nodes=4) == "remove"
-
-    def test_max_nodes_cap(self):
-        policy = AutoScalePolicy(max_nodes=4)
-        assert policy.recommend(queued=1000, active_nodes=4) == "hold"
-
-    def test_min_nodes_floor(self):
-        policy = AutoScalePolicy(min_nodes=2)
-        assert policy.recommend(queued=0, active_nodes=2) == "hold"
-
-    def test_zero_nodes_always_adds(self):
-        assert AutoScalePolicy().recommend(queued=0, active_nodes=0) == "add"
-
-    def test_manager_records_recommendations(self):
-        mgr = ElasticityManager(AutoScalePolicy(scale_up_ratio=2.0))
-        mgr.node_added(0.0, "n0")
-        action = mgr.evaluate(5.0, queued=50)
-        assert action == "add"
-        assert mgr.events[-1].action == "recommend_add"

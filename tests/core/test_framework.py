@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.framework import Frieda, FriedaConfig, RunOutcome, TaskRecord
+from repro.core.framework import Frieda, RunOutcome, TaskRecord
 from repro.core.strategies import StrategyKind
 from repro.data.partition import PartitionScheme
 
@@ -60,11 +60,6 @@ class TestFacade:
     def test_engine_accessor(self):
         frieda = Frieda.local(num_workers=1)
         assert frieda.engine is not None
-
-    def test_config_defaults(self):
-        config = FriedaConfig()
-        assert config.strategy is StrategyKind.REAL_TIME
-        assert config.multicore
 
     def test_local_and_tcp_constructors(self):
         assert Frieda.local(num_workers=2).engine.num_workers == 2

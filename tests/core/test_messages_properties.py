@@ -71,20 +71,10 @@ def test_worker_failed_round_trip(worker_id, node_id, error, tasks):
 @given(names, st.integers(-1, 100), st.binary(max_size=256))
 def test_frame_reader_round_trip_with_payload(file_name, task_id, payload):
     from repro.core.messages import FileData
-    from repro.runtime.protocol import FrameReader, write_frame
+    from repro.runtime.protocol import write_frame
+    from tests.runtime.framing import BufferWriter, read_frames
 
-    class _W:
-        def __init__(self):
-            self.data = bytearray()
-
-        def write(self, chunk):
-            self.data.extend(chunk)
-
-    writer = _W()
+    writer = BufferWriter()
     msg = FileData(task_id=task_id, file_name=file_name, payload_len=len(payload))
     write_frame(writer, msg, payload)
-    reader = FrameReader()
-    reader.feed(bytes(writer.data))
-    decoded, decoded_payload = reader.pop()
-    assert decoded == msg
-    assert decoded_payload == payload
+    assert read_frames(bytes(writer.data)) == [(msg, payload)]

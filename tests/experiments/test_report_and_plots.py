@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cloud.cluster import ClusterSpec
+from repro.core.fault import ANY_TASK
 from repro.core.strategies import StrategyKind
 from repro.data.files import synthetic_dataset
 from repro.data.partition import PartitionScheme
@@ -35,6 +36,24 @@ class TestReport:
         assert payload["tasks"]["completed"] == 8
         assert len(payload["task_records"]) == 8
         assert payload["cost_total"] > 0
+
+    def test_elasticity_log_serialises(self):
+        # A run that loses a node carries ScaleEvent records in its
+        # extras; the report must still be JSON.
+        lossy = SimulatedEngine(ClusterSpec(num_workers=2)).run(
+            synthetic_dataset("r", 4, "1 MB"),
+            compute_model=FixedComputeModel(1.0),
+            strategy=StrategyKind.REAL_TIME,
+            grouping=PartitionScheme.SINGLE,
+            multicore=False,
+            crash_worker_on_task={"worker1:0": ANY_TASK},
+        )
+        (event,) = lossy.extra["elasticity_events"]
+        payload = json.loads(outcome_to_json(lossy))
+        assert payload["extra"]["elasticity_events"] == [
+            {"time": event.time, "action": "remove", "node_id": "worker1",
+             "reason": "fault-isolation"}
+        ]
 
     def test_save_report(self, outcome, tmp_path):
         path = str(tmp_path / "report.json")

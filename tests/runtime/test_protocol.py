@@ -6,86 +6,67 @@ import pytest
 
 from repro.core.messages import FileData, RegisterWorker, RequestData
 from repro.errors import ProtocolError
-from repro.runtime.protocol import FrameReader, read_frame, write_frame
-
-
-class _FakeWriter:
-    """Collects written bytes (duck-types StreamWriter.write)."""
-
-    def __init__(self):
-        self.data = bytearray()
-
-    def write(self, chunk: bytes) -> None:
-        self.data.extend(chunk)
+from repro.runtime.protocol import read_frame, write_frame
+from tests.runtime.framing import BufferWriter, read_frames
 
 
 class TestFrameReader:
+    """``read_frame`` over a fed stream: the one decoder the TCP plane has."""
+
     def test_round_trip_plain_message(self):
-        writer = _FakeWriter()
+        writer = BufferWriter()
         write_frame(writer, RequestData(worker_id="w0"))
-        reader = FrameReader()
-        reader.feed(bytes(writer.data))
-        message, payload = reader.pop()
-        assert message == RequestData(worker_id="w0")
-        assert payload == b""
+        assert read_frames(bytes(writer.data)) == [(RequestData(worker_id="w0"), b"")]
 
     def test_round_trip_with_payload(self):
-        writer = _FakeWriter()
+        writer = BufferWriter()
         body = b"\x00\x01binary image bytes\xff"
         write_frame(
             writer,
             FileData(task_id=1, file_name="img.npy", payload_len=len(body)),
             body,
         )
-        reader = FrameReader()
-        reader.feed(bytes(writer.data))
-        message, payload = reader.pop()
+        ((message, payload),) = read_frames(bytes(writer.data))
         assert message.file_name == "img.npy"
         assert payload == body
 
     def test_incremental_feeding_byte_at_a_time(self):
-        writer = _FakeWriter()
+        writer = BufferWriter()
         write_frame(writer, RegisterWorker(worker_id="w1", node_id="n1", cores=2))
-        reader = FrameReader()
-        for i in range(len(writer.data)):
-            assert len(reader) == 0 or i == len(writer.data)
-            reader.feed(bytes(writer.data[i : i + 1]))
-        message, _ = reader.pop()
+        single_bytes = [bytes([b]) for b in writer.data]
+        assert read_frames(*single_bytes[:-1]) == []
+        ((message, _),) = read_frames(*single_bytes)
         assert message.worker_id == "w1"
 
     def test_multiple_frames_in_one_feed(self):
-        writer = _FakeWriter()
+        writer = BufferWriter()
         write_frame(writer, RequestData(worker_id="a"))
         write_frame(writer, RequestData(worker_id="b"))
-        reader = FrameReader()
-        reader.feed(bytes(writer.data))
-        assert reader.pop()[0].worker_id == "a"
-        assert reader.pop()[0].worker_id == "b"
-        assert reader.pop() is None
+        frames = read_frames(bytes(writer.data))
+        assert [message.worker_id for message, _ in frames] == ["a", "b"]
 
     def test_payload_length_mismatch_rejected(self):
-        writer = _FakeWriter()
+        writer = BufferWriter()
         with pytest.raises(ProtocolError):
             write_frame(
                 writer, FileData(task_id=0, file_name="x", payload_len=5), b"123"
             )
 
     def test_payload_on_non_filedata_rejected(self):
-        writer = _FakeWriter()
+        writer = BufferWriter()
         with pytest.raises(ProtocolError):
             write_frame(writer, RequestData(worker_id="w"), b"payload")
 
     def test_oversized_frame_length_rejected(self):
-        reader = FrameReader()
         with pytest.raises(ProtocolError):
-            reader.feed((2**30).to_bytes(4, "big") + b"x")
+            read_frames((2**30).to_bytes(4, "big") + b"x")
 
 
 class TestAsyncReadFrame:
     def test_async_round_trip(self):
         async def scenario():
             reader = asyncio.StreamReader()
-            writer = _FakeWriter()
+            writer = BufferWriter()
             payload = b"hello-bytes"
             write_frame(
                 writer,
@@ -131,35 +112,30 @@ class TestPayloadChecksum:
         # The stream must stay framed: the mismatch surfaces only after
         # the whole frame left the buffer, so the next frame decodes.
         from repro.errors import ChecksumError
-        from repro.runtime.protocol import FrameReader, file_data_message
+        from repro.runtime.protocol import file_data_message
 
         good = b"payload-bytes"
-        writer = _FakeWriter()
+        writer = BufferWriter()
         write_frame(writer, file_data_message(1, "a", good), good)
         blob = bytearray(writer.data)
         blob[-4] ^= 0xFF  # flip one payload byte on the "wire"
-        writer2 = _FakeWriter()
+        writer2 = BufferWriter()
         write_frame(writer2, RequestData(worker_id="w0"), b"")
 
-        reader = FrameReader()
-        with pytest.raises(ChecksumError) as err:
-            reader.feed(bytes(blob) + bytes(writer2.data))
-        assert err.value.frame.file_name == "a"
-        reader.feed(b"")  # resume: buffered bytes still decode
-        message, _ = reader.pop()
+        err, (message, _) = read_frames(bytes(blob) + bytes(writer2.data))
+        assert isinstance(err, ChecksumError)
+        assert err.frame.file_name == "a"
         assert isinstance(message, RequestData)
 
     def test_unchecksummed_payload_still_accepted(self):
         # Frames built without file_data_message (checksum="") skip
         # verification — wire compatibility with bare senders.
         payload = b"raw"
-        writer = _FakeWriter()
+        writer = BufferWriter()
         write_frame(
             writer, FileData(task_id=1, file_name="f", payload_len=3), payload
         )
-        reader = FrameReader()
-        reader.feed(bytes(writer.data))
-        message, got = reader.pop()
+        ((_, got),) = read_frames(bytes(writer.data))
         assert got == payload
 
     def test_async_checksum_mismatch_raises(self):
@@ -168,7 +144,7 @@ class TestPayloadChecksum:
 
         async def scenario():
             reader = asyncio.StreamReader()
-            writer = _FakeWriter()
+            writer = BufferWriter()
             good = b"0123456789"
             write_frame(writer, file_data_message(7, "g", good), good)
             blob = bytearray(writer.data)
@@ -198,11 +174,9 @@ class TestTelemetryFrames:
         from repro.telemetry.shipping import decode_batch
 
         batch, blob = self._shipped_blob()
-        writer = _FakeWriter()
+        writer = BufferWriter()
         write_frame(writer, telemetry_batch_message("w0", batch["seq"], blob), blob)
-        reader = FrameReader()
-        reader.feed(bytes(writer.data))
-        message, payload = reader.pop()
+        ((message, payload),) = read_frames(bytes(writer.data))
         assert message.msg_type == "TELEMETRY"
         assert message.worker_id == "w0"
         assert message.seq == batch["seq"]
@@ -214,21 +188,18 @@ class TestTelemetryFrames:
         from repro.runtime.protocol import telemetry_batch_message
 
         _, blob = self._shipped_blob()
-        writer = _FakeWriter()
+        writer = BufferWriter()
         write_frame(writer, telemetry_batch_message("w0", 1, blob), blob)
         corrupted = bytearray(writer.data)
         corrupted[-3] ^= 0xFF
         # A clean frame behind the bad one must still decode: telemetry
         # loss never desynchronizes the stream.
-        writer2 = _FakeWriter()
+        writer2 = BufferWriter()
         write_frame(writer2, RequestData(worker_id="w1"))
 
-        reader = FrameReader()
-        with pytest.raises(ChecksumError) as err:
-            reader.feed(bytes(corrupted) + bytes(writer2.data))
-        assert err.value.frame.msg_type == "TELEMETRY"
-        reader.feed(b"")
-        message, _ = reader.pop()
+        err, (message, _) = read_frames(bytes(corrupted) + bytes(writer2.data))
+        assert isinstance(err, ChecksumError)
+        assert err.frame.msg_type == "TELEMETRY"
         assert isinstance(message, RequestData)
 
     def test_telemetry_batch_is_a_payload_kind(self):

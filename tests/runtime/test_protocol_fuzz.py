@@ -1,10 +1,11 @@
-"""Hostile bytes at the frame decoders.
+"""Hostile bytes at the frame decoder.
 
-Both decoders — the asyncio ``read_frame`` and the incremental
-``FrameReader`` — may only ever fail with ``ProtocolError`` (its
-``ChecksumError`` subclass included) or, at end of stream,
-``asyncio.IncompleteReadError``: never a ``TypeError``/``KeyError``
-from inside the codec, and never a silently desynchronized stream.
+``read_frame`` — the one decoder the TCP plane runs — may only ever
+fail with ``ProtocolError`` (its ``ChecksumError`` subclass included)
+or, at end of stream, ``asyncio.IncompleteReadError``: never a
+``TypeError``/``KeyError`` from inside the codec, and never a silently
+desynchronized stream (the same bytes decode the same however they
+are split).
 """
 
 import asyncio
@@ -24,60 +25,22 @@ from repro.errors import ChecksumError, ProtocolError
 from repro.runtime.protocol import (
     _LEN,
     MAX_FRAME,
-    FrameReader,
     file_data_message,
-    read_frame,
     telemetry_batch_message,
     write_frame,
 )
+from tests.runtime.framing import BufferWriter, read_frames
 
 FUZZ = settings(derandomize=True, max_examples=150, deadline=None)
 
 ALLOWED = (ProtocolError, asyncio.IncompleteReadError)
 
 
-class _Writer:
-    def __init__(self):
-        self.data = bytearray()
-
-    def write(self, chunk: bytes) -> None:
-        self.data.extend(chunk)
-
-
-def _read_all_sync(blob: bytes) -> list:
-    """Every frame ``FrameReader`` decodes from ``blob`` (corrupt
-    payloads skipped, as a receiver that re-requests them would)."""
-    reader = FrameReader()
-    data = blob
-    while True:
-        try:
-            reader.feed(data)
-            break
-        except ChecksumError:
-            data = b""
-    frames = []
-    while (frame := reader.pop()) is not None:
-        frames.append(frame)
-    return frames
-
-
-def _read_all_async(blob: bytes) -> list:
-    """Every frame ``read_frame`` decodes from ``blob`` up to EOF."""
-
-    async def scenario():
-        reader = asyncio.StreamReader()
-        reader.feed_data(blob)
-        reader.feed_eof()
-        frames = []
-        while True:
-            try:
-                frames.append(await read_frame(reader))
-            except ChecksumError:
-                continue
-            except asyncio.IncompleteReadError:
-                return frames
-
-    return asyncio.run(scenario())
+def _read_all(*chunks: bytes) -> list:
+    """Every frame ``read_frame`` decodes from the chunks up to EOF
+    (corrupt payloads skipped, as a receiver that re-requests them
+    would)."""
+    return [f for f in read_frames(*chunks) if not isinstance(f, ChecksumError)]
 
 
 def _frame(body: bytes, payload: bytes = b"") -> bytes:
@@ -97,7 +60,7 @@ def _valid_frames() -> list[tuple[object, bytes]]:
 
 
 def _stream(frames) -> bytes:
-    writer = _Writer()
+    writer = BufferWriter()
     for message, payload in frames:
         write_frame(writer, message, payload)
     return bytes(writer.data)
@@ -115,28 +78,29 @@ json_values = st.recursive(
 )
 
 
-def _assert_decoders_contained(blob: bytes) -> None:
+def _assert_decoder_contained(blob: bytes) -> None:
+    """Decoding ``blob`` whole and one byte at a time fails only with an
+    allowed error, and both ways reach the same result."""
     results = []
-    for decode in (_read_all_sync, _read_all_async):
+    for chunks in ((blob,), [blob[i : i + 1] for i in range(len(blob))]):
         try:
-            results.append(decode(blob))
-        except ALLOWED:
-            results.append(None)
-    sync_frames, async_frames = results
-    if sync_frames is not None and async_frames is not None:
-        assert sync_frames == async_frames
+            results.append(_read_all(*chunks))
+        except ALLOWED as exc:
+            results.append(type(exc))
+    whole, piecewise = results
+    assert whole == piecewise
 
 
 @FUZZ
 @given(st.binary(max_size=256))
 def test_arbitrary_bytes_raise_only_protocol_errors(blob):
-    _assert_decoders_contained(blob)
+    _assert_decoder_contained(blob)
 
 
 @FUZZ
 @given(st.binary(max_size=64))
 def test_arbitrary_json_body_raises_only_protocol_errors(body):
-    _assert_decoders_contained(_frame(body))
+    _assert_decoder_contained(_frame(body))
 
 
 @FUZZ
@@ -154,7 +118,7 @@ def test_mutated_fields_raise_only_protocol_errors(index, key, value, trailing):
     else:
         fields[key] = value
     body = json.dumps(fields).encode()
-    _assert_decoders_contained(_frame(body, payload) + trailing)
+    _assert_decoder_contained(_frame(body, payload) + trailing)
 
 
 @FUZZ
@@ -166,13 +130,8 @@ def test_any_chunking_decodes_the_same_frames(picks, cuts):
     frames = [_valid_frames()[i] for i in picks]
     stream = _stream(frames)
     bounds = sorted({c % (len(stream) + 1) for c in cuts} | {0, len(stream)})
-    reader = FrameReader()
-    for lo, hi in zip(bounds, bounds[1:]):
-        reader.feed(stream[lo:hi])
-    chunked = []
-    while (frame := reader.pop()) is not None:
-        chunked.append(frame)
-    assert chunked == _read_all_sync(stream) == frames
+    chunked = _read_all(*(stream[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+    assert chunked == _read_all(stream) == frames
 
 
 @pytest.mark.parametrize(
@@ -183,9 +142,7 @@ def test_hostile_payload_len_is_a_protocol_error(payload_len):
     fields["payload_len"] = payload_len
     blob = _frame(json.dumps(fields).encode(), b"12345")
     with pytest.raises(ProtocolError, match="payload_len"):
-        _read_all_sync(blob)
-    with pytest.raises(ProtocolError, match="payload_len"):
-        _read_all_async(blob)
+        _read_all(blob)
 
 
 @pytest.mark.parametrize(
@@ -195,6 +152,4 @@ def test_hostile_payload_len_is_a_protocol_error(payload_len):
 )
 def test_malformed_bodies_are_protocol_errors(body):
     with pytest.raises(ProtocolError):
-        _read_all_sync(_frame(body))
-    with pytest.raises(ProtocolError):
-        _read_all_async(_frame(body))
+        _read_all(_frame(body))

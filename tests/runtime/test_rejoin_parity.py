@@ -90,6 +90,13 @@ class TestThreadedRejoin:
             r for r in outcome.task_records if r.worker_id == "local:0:r1"
         ]
         assert rejoined, "the rejoined worker never completed a task"
+        # A respawn is a late join, recorded the way TCP records its
+        # rejoins (["tcp:0:r1"]).
+        assert outcome.extra["late_joins"] == ["local:0:r1"]
+        joined = [
+            e.detail for e in outcome.controller_events if e.kind == "WORKER_JOINED_LATE"
+        ]
+        assert joined == ["local:0:r1"]
 
     def test_without_respawn_no_fresh_id_appears(self, input_files):
         outcome = ThreadedEngine(num_workers=2).run(

@@ -18,6 +18,7 @@ from repro.core.messages import FileData, RequestData, encode_message
 from repro.runtime.faults import FaultRule, FaultScript, FaultyChannel
 from repro.runtime.protocol import SMALL_PAYLOAD, _LEN, file_data_message, write_frame
 from repro.runtime.tcp import TcpEngine
+from tests.runtime.framing import read_frames
 
 
 class _RecordingWriter:
@@ -147,15 +148,12 @@ class TestExecutorHops:
 
 
 def test_file_data_at_the_boundary_round_trips():
-    from repro.runtime.protocol import FrameReader
-
     writer = _RecordingWriter()
     payloads = [_payload(SMALL_PAYLOAD), _payload(SMALL_PAYLOAD + 1)]
     for i, payload in enumerate(payloads):
         write_frame(writer, file_data_message(i, f"b{i}", payload), payload)
-    reader = FrameReader()
-    reader.feed(b"".join(writer.writes))
-    for i, payload in enumerate(payloads):
-        message, got = reader.pop()
+    frames = read_frames(*writer.writes)
+    assert len(frames) == len(payloads)
+    for i, ((message, got), payload) in enumerate(zip(frames, payloads)):
         assert isinstance(message, FileData) and message.task_id == i
         assert got == payload

@@ -66,6 +66,28 @@ class TestSyntheticLoad:
         assert retried == len(fail)
 
 
+class TestPinnedDigests:
+    """The values ``make service-check`` and ``make recovery-check``
+    only compare run against run, pinned so a change that moves the
+    service's schedule or its kill-recover path fails tier-1."""
+
+    def test_service_load_digest(self):
+        result = run_service_load(TENANTS, seed=0)
+        assert result.digest == (
+            "9c0cc7aac1053ab4e77b872e578555dbf2081c4a08e251fabfc979c2621a4090"
+        )
+
+    def test_kill_recover_digests(self):
+        result = run_service_load(TENANTS, seed=0, master_kill_script=[4.0, 11.0])
+        assert result.recoveries == 2
+        assert result.digest == (
+            "8231bd15cba3fe73836eee5dc4bfa4c6203fd9986c48b7aae2e9f7caa16d98f7"
+        )
+        assert result.outcome_digest == (
+            "3abc56356294982ad9f46406e0c7d969ab7b5daa8d1350c99c345388a3b57a7f"
+        )
+
+
 class TestCrashLoad:
     CRASHES = ((0.5, "sim:000"), (1.5, "sim:003"), (3.0, "sim:000:r1"))
 
