@@ -127,6 +127,12 @@ class SimulationOptions:
     sample_interval: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.prefetch_depth not in (0, 1):
+            raise ConfigurationError(
+                f"prefetch_depth must be 0 or 1, got {self.prefetch_depth!r}"
+            )
+
 
 class _FetchFailed(Exception):
     """Internal: a task's input transfers exhausted their retries."""
@@ -252,9 +258,15 @@ class SimulatedEngine:
                 telemetry=telemetry,
             )
             done = env.process(run.main(), name="frieda-run")
-            env.run(until=done)
-            if env.now > max_sim_time:
+
+            # The cap ends a run that never resolves; a run that
+            # resolves first stops at ``done`` and never reaches it, so
+            # it processes exactly the events it would without a cap.
+            def exceeded(_cap: Event) -> None:
                 raise SimulationError(f"simulation exceeded {max_sim_time} simulated seconds")
+
+            env.timeout(max_sim_time).callbacks.append(exceeded)
+            env.run(until=done)
             return run.outcome()
 
 
@@ -798,54 +810,23 @@ class _SimulatedRun:
 
     def _worker_loop(self, vm: VirtualMachine, logic: WorkerLogic):
         env = self.env
-        sched = self.scheduler
-        strategy = self.controller.strategy
         wid = logic.worker_id
-        prefetching = self.options.prefetch_depth > 0 and strategy.lazy
+        prefetching = self.options.prefetch_depth > 0 and self.controller.strategy.lazy
         try:
             yield self._rtt()  # register + connection ack
-            if not prefetching:
-                while True:
-                    if sched.done:
-                        break
-                    request_start = env.now
-                    yield self._rtt()  # REQUEST_DATA round trip
-                    assignment = sched.next_for(wid)
-                    if assignment is None and self.options.speculative and strategy.lazy:
-                        assignment = sched.speculate_for(wid)
-                    if assignment is None:
-                        if not sched.may_get_work_later(wid):
-                            break  # NO_MORE_DATA
-                        # Retry extension: work may reappear; poll briefly.
-                        yield env.timeout(max(self.options.control_rtt * 25, 0.05))
-                        continue
-                    if self._maybe_inject_death(vm, wid, assignment.task_id):
-                        # The interrupt we just scheduled is delivered at
-                        # this yield; the except block below (or silence,
-                        # for hangs) takes over — twin of a real worker
-                        # dying upon receiving FILE_METADATA.
-                        yield env.timeout(0)
-                    task_span = self._open_task_span(vm, assignment, request_start)
-                    yield from self._execute_assignment(
-                        vm, logic, assignment, span=task_span
-                    )
-                    self._maybe_finish()
-            else:
-                # Double buffering (extension): fetch task N+1's inputs
-                # while task N computes.
-                pending = yield from self._fetch(vm, logic)
-                while pending is not None:
-                    assignment, fetch_start, transfer_seconds, task_span = pending
-                    prefetch = env.process(
-                        self._fetch(vm, logic), name=f"prefetch-{wid}"
-                    )
+            pending = yield from self._fetch(vm, logic)
+            while pending is not None:
+                assignment, task_start, transfer_seconds, task_span = pending
+                if prefetching:
+                    # Double buffering (extension): fetch task N+1's
+                    # inputs while task N computes.
+                    prefetch = env.process(self._prefetch(vm, logic), name=f"prefetch-{wid}")
                     vm.register_process(prefetch)
-                    yield from self._run_task(
-                        vm, logic, assignment, fetch_start, transfer_seconds,
-                        span=task_span,
-                    )
-                    self._maybe_finish()
-                    pending = yield prefetch
+                yield from self._run_task(
+                    vm, logic, assignment, task_start, transfer_seconds, span=task_span
+                )
+                self._maybe_finish()
+                pending = (yield prefetch) if prefetching else (yield from self._fetch(vm, logic))
         except Interrupt as interrupt:
             now = env.now
             aborted = logic.abort_task(now, f"vm failure: {interrupt.cause}")
@@ -929,43 +910,57 @@ class _SimulatedRun:
         return span
 
     def _fetch(self, vm: VirtualMachine, logic: WorkerLogic):
-        """Process: request the next assignment and stage its inputs.
+        """Process fragment: request the next assignment and stage its
+        inputs — the worker's one draw step (§II-C: pull the next group,
+        then execute it).
 
-        Returns ``(assignment, fetch_start, transfer_seconds, span)``
-        or ``None`` when the worker is drained. Used by the prefetching
-        loop; safe to interrupt (returns None on VM failure — the
-        worker's own interrupt handler does the loss bookkeeping).
+        Returns ``(assignment, task_start, transfer_seconds, span)`` or
+        ``None`` when the worker is drained; ``task_start`` is the
+        instant the REQUEST_DATA round trip returned. A VM death
+        raises :class:`Interrupt` to the caller.
         """
         env = self.env
         sched = self.scheduler
         wid = logic.worker_id
+        speculative = self.options.speculative and self.controller.strategy.lazy
+        while True:
+            if sched.done:
+                return None
+            request_start = env.now
+            yield self._rtt()  # REQUEST_DATA round trip
+            assignment = sched.next_for(wid)
+            if assignment is None and speculative:
+                assignment = sched.speculate_for(wid)
+            if assignment is None:
+                if not sched.may_get_work_later(wid):
+                    return None  # NO_MORE_DATA
+                # Retry extension: work may reappear; poll briefly.
+                yield env.timeout(max(self.options.control_rtt * 25, 0.05))
+                continue
+            if self._maybe_inject_death(vm, wid, assignment.task_id):
+                # The interrupt we just scheduled is delivered at this
+                # yield — twin of a real worker dying upon receiving
+                # FILE_METADATA.
+                yield env.timeout(0)
+            task_span = self._open_task_span(vm, assignment, request_start)
+            task_start = env.now
+            try:
+                transfer_seconds = yield from self._stage_inputs(
+                    vm, logic, assignment, parent=task_span
+                )
+            except _FetchFailed as failure:
+                self._report_fetch_failure(
+                    vm, logic, assignment, failure, task_start, task_span
+                )
+                continue
+            return assignment, task_start, transfer_seconds, task_span
+
+    def _prefetch(self, vm: VirtualMachine, logic: WorkerLogic):
+        """Process: one :meth:`_fetch` run ahead of the worker. A VM
+        death interrupts the worker process too, whose handler does the
+        loss bookkeeping, so here it only ends the prefetch."""
         try:
-            while True:
-                if sched.done:
-                    return None
-                fetch_start = env.now
-                yield self._rtt()  # REQUEST_DATA round trip
-                assignment = sched.next_for(wid)
-                if assignment is None and self.options.speculative:
-                    assignment = sched.speculate_for(wid)
-                if assignment is None:
-                    if not sched.may_get_work_later(wid):
-                        return None
-                    yield env.timeout(max(self.options.control_rtt * 25, 0.05))
-                    continue
-                if self._maybe_inject_death(vm, wid, assignment.task_id):
-                    yield env.timeout(0)  # deliver the scheduled interrupt
-                task_span = self._open_task_span(vm, assignment, fetch_start)
-                try:
-                    transfer_seconds = yield from self._stage_inputs(
-                        vm, logic, assignment, parent=task_span
-                    )
-                except _FetchFailed as failure:
-                    self._report_fetch_failure(
-                        vm, logic, assignment, failure, fetch_start, task_span
-                    )
-                    continue
-                return assignment, fetch_start, transfer_seconds, task_span
+            return (yield from self._fetch(vm, logic))
         except Interrupt:
             return None
 
@@ -1015,27 +1010,6 @@ class _SimulatedRun:
             logic.receive_file(name)
         fetch_span.end()
         return env.now - t0
-
-    def _execute_assignment(
-        self,
-        vm: VirtualMachine,
-        logic: WorkerLogic,
-        assignment: Assignment,
-        span: SpanHandle | None = None,
-    ):
-        task_start = self.env.now
-        try:
-            transfer_seconds = yield from self._stage_inputs(
-                vm, logic, assignment, parent=span
-            )
-        except _FetchFailed as failure:
-            self._report_fetch_failure(
-                vm, logic, assignment, failure, task_start, span
-            )
-            return
-        yield from self._run_task(
-            vm, logic, assignment, task_start, transfer_seconds, span=span
-        )
 
     def _report_fetch_failure(
         self,

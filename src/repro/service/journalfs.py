@@ -3,9 +3,9 @@
 Kept out of :mod:`repro.service.journal` on purpose: the journal codec
 and replay path are a frieda-audit taint root (they run under the
 deterministic harness), while this module is unapologetically real
-I/O — append-with-fsync for records, write-temp-then-rename for
-compaction so a crash mid-compact leaves either the old journal or the
-new one, never a torn file.
+I/O — append-with-fsync for records, write-temp-then-rename (then a
+directory fsync) for compaction so a crash mid-compact leaves either
+the old journal or the new one, never a torn file.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ class FileJournalStore:
             if self._sync:
                 os.fsync(fh.fileno())
         os.replace(tmp, self.path)
+        if self._sync:
+            # The rename is an entry in the directory: until that is
+            # synced, a power cut can bring the old journal back.
+            fd = os.open(os.path.dirname(os.path.abspath(self.path)), os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     @property
     def size(self) -> int:

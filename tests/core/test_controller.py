@@ -506,3 +506,27 @@ class TestOneLossPath:
                 if "_may_get_work_later" in path.read_text():
                     offenders.append(f"{path.relative_to(package)} _may_get_work_later")
         assert offenders == []
+
+
+class TestOneDrawStep:
+    def test_simulated_workers_draw_in_one_function(self):
+        """The simulated worker pulls its next group through one draw
+        step, with or without prefetch: ``next_for`` and
+        ``speculate_for`` are each called from a single function in
+        ``engines/simulated.py``, so a second copy cannot drift."""
+        path = Path(repro.__file__).parent / "engines" / "simulated.py"
+        callers: dict[str, set[str]] = {"next_for": set(), "speculate_for": set()}
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in callers
+                ):
+                    callers[node.func.attr].add(func.name)
+        assert {name: len(funcs) for name, funcs in callers.items()} == {
+            "next_for": 1,
+            "speculate_for": 1,
+        }, callers

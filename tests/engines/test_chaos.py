@@ -286,13 +286,29 @@ class TestInjectedWorkerDeath:
                 multicore=False,
             )
 
-    def test_any_task_sentinel_fires_on_first_draw(self):
+    # A real-time worker draws through the same step with or without
+    # prefetch; a crash during any draw must reach the loss handler.
+    @pytest.mark.parametrize("prefetch_depth", [0, 1])
+    def test_any_task_sentinel_fires_on_first_draw(self, prefetch_depth):
         outcome = run_chaos(
             n_files=6,
             cost=2.0,
+            options=SimulationOptions(protocol=_Raw(), prefetch_depth=prefetch_depth),
             retry_policy=RetryPolicy.resilient(),
             crash_worker_on_task={"worker1:0": ANY_TASK},
             multicore=False,
         )
         assert outcome.tasks_completed == outcome.tasks_total
         assert "WORKER_FAILED" in [e.kind for e in outcome.controller_events]
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 1])
+    def test_any_task_crash_without_retry_loses_the_task(self, prefetch_depth):
+        outcome = run_chaos(
+            n_files=6,
+            cost=2.0,
+            options=SimulationOptions(protocol=_Raw(), prefetch_depth=prefetch_depth),
+            crash_worker_on_task={"worker1:0": ANY_TASK},
+            multicore=False,
+        )
+        assert outcome.tasks_lost == 1
+        assert outcome.tasks_completed + outcome.tasks_lost == outcome.tasks_total

@@ -8,7 +8,8 @@ from repro.data.files import DataFile, synthetic_dataset
 from repro.data.partition import PartitionScheme
 from repro.engines.compute import FixedComputeModel
 from repro.engines.simulated import SimulatedEngine, SimulationOptions
-from repro.errors import StorageError
+from repro.errors import SimulationError, StorageError
+from repro.telemetry import Telemetry
 from repro.transfer.base import TransferProtocol
 from repro.util.units import GB, MB
 
@@ -145,6 +146,15 @@ class TestTimingSemantics:
             multicore=False,
         )
         assert outcome.makespan == pytest.approx(4.0, rel=1e-6)
+
+    def test_max_sim_time_stops_an_unfinished_run(self):
+        # A recording hub samples the queue every second, so a run that
+        # outlives the cap would keep recording events past it.
+        telemetry = Telemetry(record=True)
+        with pytest.raises(SimulationError, match="exceeded 100 simulated seconds"):
+            run(n_files=1, file_size="1 KB", cost=1e5, max_sim_time=100,
+                telemetry=telemetry)
+        assert max(event.time for event in telemetry.events) <= 100
 
 
 class TestWorkerBookkeeping:

@@ -9,6 +9,7 @@ from repro.data.files import synthetic_dataset
 from repro.data.partition import PartitionScheme
 from repro.engines.compute import FixedComputeModel, StochasticComputeModel
 from repro.engines.simulated import ElasticAction, SimulatedEngine, SimulationOptions
+from repro.errors import ConfigurationError
 
 SPEC = ClusterSpec(num_workers=4)
 
@@ -64,6 +65,11 @@ class TestPrefetch:
     def test_prefetch_task_records_complete(self):
         outcome = self._run(1)
         assert sorted(r.task_id for r in outcome.task_records) == list(range(30))
+
+    @pytest.mark.parametrize("depth", [-1, 2])
+    def test_prefetch_depth_outside_zero_one_rejected(self, depth):
+        with pytest.raises(ConfigurationError, match="prefetch_depth"):
+            SimulationOptions(prefetch_depth=depth)
 
 
 class TestChunkingDisciplines:

@@ -5,6 +5,9 @@ bit-flipped CRC must stop decoding cleanly at the last valid record —
 reported and counted, never an exception out of the reader.
 """
 
+import os
+import stat
+
 import pytest
 
 from repro.errors import JournalError
@@ -153,3 +156,18 @@ class TestFileStore:
         store.replace(b"xyz")
         assert path.read_bytes() == b"xyz"
         assert not list(tmp_path.glob("*.tmp*"))
+
+    @pytest.mark.parametrize("sync", [True, False])
+    def test_replace_syncs_the_directory_only_with_sync(self, tmp_path, monkeypatch, sync):
+        store = FileJournalStore(tmp_path / "svc.journal", sync=sync)
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        store.replace(b"xyz")
+        # With sync: the temp file, then the directory holding the rename.
+        assert synced == ([False, True] if sync else [])

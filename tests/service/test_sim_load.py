@@ -67,14 +67,22 @@ class TestSyntheticLoad:
 
 
 class TestPinnedDigests:
-    """The values ``make service-check`` and ``make recovery-check``
-    only compare run against run, pinned so a change that moves the
-    service's schedule or its kill-recover path fails tier-1."""
+    """The 120-tenant load and its kill-recover twin, pinned so a
+    change that moves the service's schedule or its kill-recover path
+    fails tier-1; ``make service-check`` and ``make recovery-check``
+    gate on these pins."""
 
     def test_service_load_digest(self):
         result = run_service_load(TENANTS, seed=0)
+        assert result.rejected == 0
+        assert len(result.per_job) == TENANTS
         assert result.digest == (
             "9c0cc7aac1053ab4e77b872e578555dbf2081c4a08e251fabfc979c2621a4090"
+        )
+        # Equal to the kill-recover run's: a master crash may reshuffle
+        # timing, never results.
+        assert result.outcome_digest == (
+            "3abc56356294982ad9f46406e0c7d969ab7b5daa8d1350c99c345388a3b57a7f"
         )
 
     def test_kill_recover_digests(self):
