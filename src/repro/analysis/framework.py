@@ -163,11 +163,6 @@ def iter_project_rules() -> list[ProjectRule]:
     return [_PROJECT_REGISTRY[rule_id] for rule_id in sorted(_PROJECT_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    _ensure_rules_loaded()
-    return _REGISTRY[rule_id]
-
-
 def all_rule_ids() -> set[str]:
     """Every known rule id, per-file and whole-program."""
     _ensure_rules_loaded()
@@ -232,18 +227,6 @@ def dotted_name(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def imported_roots(tree: ast.Module) -> set[str]:
-    """Top-level names bound by imports (``import x.y`` binds ``x``)."""
-    roots: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                roots.add((alias.asname or alias.name).split(".")[0])
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            roots.add(node.module.split(".")[0])
-    return roots
 
 
 def import_aliases(tree: ast.Module) -> dict[str, str]:

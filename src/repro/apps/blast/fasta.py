@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from repro.errors import ApplicationError
 
@@ -106,17 +106,3 @@ def write_fasta(
             emit(fh)
     else:
         emit(path_or_stream)
-
-
-def iter_fasta(path: str, batch_size: int = 1) -> Iterator[list[SequenceRecord]]:
-    """Stream records from a FASTA file in batches (memory-bounded)."""
-    if batch_size < 1:
-        raise ApplicationError("batch_size must be >= 1")
-    batch: list[SequenceRecord] = []
-    for record in read_fasta(path):
-        batch.append(record)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

@@ -192,12 +192,3 @@ def blast_search(
         )
     hits.sort(key=lambda h: (h.e_value, -h.score))
     return hits[: params.max_hits]
-
-
-def blast_search_many(
-    queries: Sequence[SequenceRecord],
-    database: BlastDatabase,
-    params: BlastParams | None = None,
-) -> dict[str, list[BlastHit]]:
-    """Search a batch of queries (the per-task unit in the examples)."""
-    return {q.seq_id: blast_search(q, database, params) for q in queries}

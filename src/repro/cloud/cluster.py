@@ -187,11 +187,6 @@ class VirtualCluster:
             raise NetworkError("cluster has no shared network storage")
         return self.shared_storage.read_path() + (f"{dst_vm}.down",)
 
-    def storage_write_path(self, src_vm: str) -> tuple[str, ...]:
-        if self.shared_storage is None:
-            raise NetworkError("cluster has no shared network storage")
-        return (f"{src_vm}.up",) + self.shared_storage.write_path()
-
     # -- failure hook -------------------------------------------------------
     def fail_vm(self, vm_id: str, cause: str = "injected") -> None:
         vm = self.vm(vm_id)

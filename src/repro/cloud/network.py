@@ -140,10 +140,6 @@ class Link:
     def degraded(self) -> bool:
         return self.capacity < self.base_capacity
 
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
-
     def __repr__(self) -> str:
         return f"<Link {self.name} {self.capacity:.0f}bps flows={len(self._flows)}>"
 
@@ -164,7 +160,7 @@ class Flow:
     """One in-flight transfer.
 
     ``done`` is the completion event; its value is the flow itself so
-    processes can inspect realized throughput afterwards.
+    processes can inspect it (cancelled, end_time) afterwards.
     """
 
     __slots__ = (
@@ -225,13 +221,6 @@ class Flow:
         self._visit = 0
         #: Solver scratch slot (repro.cloud.maxmin).
         self._s_rate = 0.0
-
-    @property
-    def mean_throughput_bps(self) -> float:
-        """Realized mean throughput (valid after completion)."""
-        if self.end_time is None or self.end_time <= self.start_time:
-            return math.nan
-        return self.total_bits / (self.end_time - self.start_time)
 
     def __repr__(self) -> str:
         return f"<Flow {self.id} tag={self.tag} remaining={self.remaining_bits:.0f}b>"
@@ -324,7 +313,6 @@ class FlowNetwork:
         self._m_capacity_changes = metrics.counter("network.capacity_changes")
         self.incremental = incremental
         self._links: dict[str, Link] = {}
-        self._routes: dict[str, Route] = {}
         #: Active flows in arrival order (dict for deterministic iteration).
         self._flows: dict[Flow, None] = {}
         self._flow_ids = itertools.count()
@@ -365,20 +353,6 @@ class FlowNetwork:
             return self._links[name]
         except KeyError:
             raise NetworkError(f"unknown link {name!r}") from None
-
-    def add_route(self, name: str, links: Sequence[str]) -> Route:
-        """Register a named path (validates link existence)."""
-        for link_name in links:
-            self.link(link_name)
-        route = Route(name, tuple(links))
-        self._routes[name] = route
-        return route
-
-    def route(self, name: str) -> Route:
-        try:
-            return self._routes[name]
-        except KeyError:
-            raise NetworkError(f"unknown route {name!r}") from None
 
     def set_link_capacity(self, name: str, capacity_bps: float) -> Link:
         """Change a link's current capacity (fault injection / repair).

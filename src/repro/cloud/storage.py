@@ -140,11 +140,6 @@ class StorageVolume:
         written.inc(size)
         stored.inc()
 
-    def remove_file(self, name: str) -> None:
-        size = self._contents.pop(name, None)
-        if size is not None:
-            self._used -= size
-
     def clear(self) -> None:
         self._contents.clear()
         self._used = 0

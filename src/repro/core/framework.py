@@ -78,12 +78,6 @@ class RunOutcome:
     def all_tasks_ok(self) -> bool:
         return self.tasks_completed == self.tasks_total
 
-    @property
-    def throughput_tasks_per_second(self) -> float:
-        if self.makespan <= 0:
-            return float("nan")
-        return self.tasks_completed / self.makespan
-
     def speedup_over(self, baseline: "RunOutcome") -> float:
         """Baseline makespan divided by this run's makespan."""
         if self.makespan <= 0:
@@ -95,6 +89,7 @@ class RunOutcome:
             f"{self.strategy.value:>24s}  makespan={self.makespan:10.2f}s  "
             f"transfer={self.transfer_time:9.2f}s  exec={self.execution_time:9.2f}s  "
             f"tasks={self.tasks_completed}/{self.tasks_total}"
+            + (f"  failed={self.tasks_failed}" if self.tasks_failed else "")
             + (f"  lost={self.tasks_lost}" if self.tasks_lost else "")
         )
 

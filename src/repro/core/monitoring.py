@@ -135,11 +135,6 @@ class HeartbeatMonitor:
             states[component] = state
         return states
 
-    def dead_components(self, now: float) -> frozenset[str]:
-        return frozenset(
-            c for c, state in self.sweep(now).items() if state is Liveness.DEAD
-        )
-
 
 @dataclass(frozen=True)
 class RecoveryAction:

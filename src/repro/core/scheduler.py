@@ -514,10 +514,6 @@ class MasterScheduler:
         return len(self._groups) - resolved
 
     @property
-    def in_flight_count(self) -> int:
-        return len(self._in_flight)
-
-    @property
     def pending_count(self) -> int:
         """Tasks queued or reserved but not yet handed to a worker."""
         return self._pending

@@ -90,10 +90,6 @@ class Dataset:
         """Total bytes across all files."""
         return sum(f.size for f in self._files)
 
-    def sorted_by_name(self) -> "Dataset":
-        """A copy with files in lexicographic name order (ls-like)."""
-        return Dataset(self.name, sorted(self._files, key=lambda f: f.name))
-
     @classmethod
     def from_directory(
         cls,
@@ -129,8 +125,7 @@ class FileCatalog:
     """Tracks which node holds a replica of which file.
 
     The master consults the catalog to decide whether a worker already
-    has a file (pre-partitioned local) or needs a transfer; the
-    elasticity manager updates it when workers join or leave.
+    has a file (pre-partitioned local) or needs a transfer.
     """
 
     def __init__(self) -> None:
@@ -139,23 +134,11 @@ class FileCatalog:
     def add_replica(self, file_name: str, node_id: str) -> None:
         self._replicas.setdefault(file_name, set()).add(node_id)
 
-    def drop_node(self, node_id: str) -> int:
-        """Forget all replicas on ``node_id``; returns how many were dropped."""
-        dropped = 0
-        for holders in self._replicas.values():
-            if node_id in holders:
-                holders.discard(node_id)
-                dropped += 1
-        return dropped
-
     def holders(self, file_name: str) -> frozenset[str]:
         return frozenset(self._replicas.get(file_name, ()))
 
     def has_replica(self, file_name: str, node_id: str) -> bool:
         return node_id in self._replicas.get(file_name, ())
-
-    def replica_count(self, file_name: str) -> int:
-        return len(self._replicas.get(file_name, ()))
 
     def files_on(self, node_id: str) -> frozenset[str]:
         return frozenset(

@@ -53,15 +53,6 @@ class ChecksumError(ProtocolError):
         self.actual = actual
 
 
-class WorkerFailure(FriedaError):
-    """Raised inside a worker process when its VM fails mid-task."""
-
-
-class MasterFailure(FriedaError):
-    """Raised when the master becomes unavailable (single point of failure
-    noted in §V-A of the paper)."""
-
-
 class ConfigurationError(FriedaError):
     """Raised when a user-facing configuration is inconsistent."""
 

@@ -12,6 +12,16 @@ from repro.experiments.table1 import render_table1, run_table1
 from repro.util.tables import render_table
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}")
+    return value
+
+
 def _emit(tables, as_csv: bool) -> None:
     for table in tables:
         if as_csv:
@@ -39,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=_positive_float,
         default=1.0,
         help="workload scale (1.0 = paper's full size; try 0.2 for a quick run)",
     )

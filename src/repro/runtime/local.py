@@ -192,6 +192,8 @@ class ThreadedEngine:
         directly, beats or not)."""
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
+        if command_timeout <= 0:
+            raise ConfigurationError("command_timeout must be > 0")
         self.num_workers = num_workers
         self.scratch_root = scratch_root
         self.command_timeout = command_timeout

@@ -130,6 +130,8 @@ class TcpEngine:
         """
         if num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
+        if command_timeout <= 0:
+            raise ConfigurationError("command_timeout must be > 0")
         if registration_window <= 0:
             raise ConfigurationError("registration_window must be > 0")
         self.num_workers = num_workers

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.apps.blast.fasta import (
     SequenceRecord,
-    iter_fasta,
     parse_fasta,
     read_fasta,
     write_fasta,
@@ -82,21 +81,6 @@ class TestWrite:
     def test_read_missing_file(self):
         with pytest.raises(ApplicationError):
             read_fasta("/no/such.fa")
-
-
-class TestIterFasta:
-    def test_batching(self, tmp_path):
-        records = [SequenceRecord(f"s{i}", "", "MKV") for i in range(5)]
-        path = str(tmp_path / "b.fa")
-        write_fasta(records, path)
-        batches = list(iter_fasta(path, batch_size=2))
-        assert [len(b) for b in batches] == [2, 2, 1]
-
-    def test_invalid_batch_size(self, tmp_path):
-        path = str(tmp_path / "b.fa")
-        write_fasta([SequenceRecord("a", "", "MK")], path)
-        with pytest.raises(ApplicationError):
-            list(iter_fasta(path, batch_size=0))
 
 
 @given(

@@ -8,7 +8,6 @@ from repro.apps.blast.search import (
     BlastDatabase,
     BlastParams,
     blast_search,
-    blast_search_many,
 )
 from repro.errors import ApplicationError
 
@@ -73,14 +72,6 @@ class TestSearch:
         hits = blast_search(query, database)
         subjects = [h.subject_id for h in hits]
         assert len(subjects) == len(set(subjects))
-
-    def test_search_many(self, database):
-        queries = [
-            SequenceRecord("a", "", database.records[0].residues[:50]),
-            SequenceRecord("b", "", database.records[1].residues[:50]),
-        ]
-        results = blast_search_many(queries, database)
-        assert set(results) == {"a", "b"}
 
 
 class TestGenerators:

@@ -33,17 +33,6 @@ class TestVolumeContents:
         disk.store_file("a", 4 * MB)
         assert disk.used_bytes == 4 * MB
 
-    def test_remove_releases_space(self, net):
-        disk = LocalDisk(net, "d", 10 * MB, 1e6, 1e6)
-        disk.store_file("a", 4 * MB)
-        disk.remove_file("a")
-        assert disk.used_bytes == 0
-        assert not disk.has_file("a")
-
-    def test_remove_missing_is_noop(self, net):
-        disk = LocalDisk(net, "d", 10 * MB, 1e6, 1e6)
-        disk.remove_file("ghost")
-
     def test_clear_empties_volume(self, net):
         disk = LocalDisk(net, "d", 10 * MB, 1e6, 1e6)
         disk.store_file("a", 1 * MB)

@@ -33,12 +33,6 @@ class TestRunOutcome:
         assert outcome().all_tasks_ok
         assert not outcome(completed=3).all_tasks_ok
 
-    def test_throughput(self):
-        assert outcome(makespan=10.0, completed=5, total=5).throughput_tasks_per_second == pytest.approx(0.5)
-
-    def test_throughput_degenerate(self):
-        assert math.isnan(outcome(makespan=0.0).throughput_tasks_per_second)
-
     def test_speedup_over(self):
         fast = outcome(makespan=10.0)
         slow = outcome(makespan=40.0)
@@ -48,12 +42,15 @@ class TestRunOutcome:
         assert math.isnan(outcome(makespan=0.0).speedup_over(outcome()))
 
     def test_summary_line_content(self):
-        line = outcome(tasks_lost=2).summary_line()
+        line = outcome(tasks_failed=3, tasks_lost=2).summary_line()
         assert "real_time" in line
+        assert "failed=3" in line
         assert "lost=2" in line
 
     def test_summary_line_omits_zero_losses(self):
-        assert "lost" not in outcome().summary_line()
+        line = outcome().summary_line()
+        assert "lost" not in line
+        assert "failed" not in line
 
 
 class TestFacade:

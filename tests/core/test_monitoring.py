@@ -100,11 +100,6 @@ class TestHeartbeatMonitor:
         assert states["a"] is Liveness.DEAD
         assert states["b"] is Liveness.SUSPECTED
 
-    def test_dead_components_set(self, monitor):
-        monitor.beat("a", 0.0)
-        monitor.beat("b", 14.0)
-        assert monitor.dead_components(16.0) == frozenset({"a"})
-
 
 class TestRecoveryPlan:
     def test_live_component_no_action(self):

@@ -33,10 +33,6 @@ class TestDataset:
         ds = Dataset("d", [DataFile("z", 1), DataFile("a", 1)])
         assert [f.name for f in ds] == ["z", "a"]
 
-    def test_sorted_by_name(self):
-        ds = Dataset("d", [DataFile("z", 1), DataFile("a", 1)])
-        assert [f.name for f in ds.sorted_by_name()] == ["a", "z"]
-
     def test_get_and_contains(self):
         ds = Dataset("d", [DataFile("a", 1)])
         assert "a" in ds
@@ -107,19 +103,8 @@ class TestFileCatalog:
         cat.add_replica("f", "n1")
         cat.add_replica("f", "n2")
         assert cat.holders("f") == frozenset({"n1", "n2"})
-        assert cat.replica_count("f") == 2
         assert cat.has_replica("f", "n1")
         assert not cat.has_replica("f", "n3")
-
-    def test_drop_node(self):
-        cat = FileCatalog()
-        cat.add_replica("a", "n1")
-        cat.add_replica("b", "n1")
-        cat.add_replica("b", "n2")
-        dropped = cat.drop_node("n1")
-        assert dropped == 2
-        assert cat.holders("a") == frozenset()
-        assert cat.holders("b") == frozenset({"n2"})
 
     def test_files_on_node(self):
         cat = FileCatalog()

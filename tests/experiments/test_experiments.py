@@ -5,6 +5,8 @@ asserting the paper's qualitative claims — the same checks EXPERIMENTS.md
 records at scale=1.0.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments.fig6 import FIG6_STRATEGIES, render_fig6, run_fig6
@@ -14,6 +16,19 @@ from repro.experiments.table1 import render_table1, run_table1
 from repro.util.tables import render_table
 
 SCALE = 0.05
+
+#: sha256 of the rendered tables at SCALE, identical on the pure-Python
+#: and C kernels and under PYTHONHASHSEED 0, 1 and 7. A change that
+#: moves one moves a number of the paper's Table I or Fig 6/7.
+PINNED_DIGESTS = {
+    "table1": "11cceccbd2ddb05473d4ef84ef0a6d27ac5c9f6ea1803d9ba427ddf1a6ecac34",
+    "fig6": "50aff47ddb26b22ffb857f083842ebfa9d5f91265710551f440cce4c0e9cad37",
+    "fig7": "32ccc236280635a0a6ace7837ce554cc6dda23d39a946dee7c3bb7595221b365",
+}
+
+
+def _digest(tables):
+    return hashlib.sha256("\n".join(render_table(t) for t in tables).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +125,17 @@ class TestFig7:
         tables = render_fig7(fig7, SCALE)
         text = "\n".join(render_table(t) for t in tables)
         assert "SHAPE VIOLATION" not in text
+
+
+class TestPinnedTables:
+    def test_table1(self, table1):
+        assert _digest([render_table1(table1, SCALE)]) == PINNED_DIGESTS["table1"]
+
+    def test_fig6(self, fig6):
+        assert _digest(render_fig6(fig6, SCALE)) == PINNED_DIGESTS["fig6"]
+
+    def test_fig7(self, fig7):
+        assert _digest(render_fig7(fig7, SCALE)) == PINNED_DIGESTS["fig7"]
 
 
 class TestPaperValues:

@@ -52,6 +52,7 @@ class TestRunSubcommand:
     def test_failing_command_nonzero_exit(self, input_dir, capsys):
         code = main(["run", input_dir, "--command", "false $inp1"])
         assert code == 1
+        assert "failed=" in capsys.readouterr().out
 
     def test_empty_directory_rejected(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -55,3 +55,12 @@ class TestExperimentsPlotFlag:
         out = capsys.readouterr().out
         assert code == 0
         assert "legend" in out
+
+
+class TestExperimentsArguments:
+    @pytest.mark.parametrize("scale", ["0", "-1", "abc"])
+    def test_non_positive_scale_is_a_usage_error(self, scale, capsys):
+        with pytest.raises(SystemExit) as exc:
+            experiments_main(["table1", "--scale", scale])
+        assert exc.value.code == 2
+        assert "--scale: must be a number > 0" in capsys.readouterr().err

@@ -55,12 +55,6 @@ class TestExamples:
         assert "cold start" in out
         assert "history-driven recommendations" in out
 
-    def test_workflow_pipeline(self, capsys):
-        run_example("workflow_pipeline.py")
-        out = capsys.readouterr().out
-        assert "workflow ok=True" in out
-        assert "adjacent pairs similar" in out
-
     def test_ring_analysis(self, capsys):
         run_example("ring_analysis.py", ["4"])
         out = capsys.readouterr().out

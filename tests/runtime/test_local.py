@@ -10,6 +10,7 @@ from repro.core.strategies import StrategyKind
 from repro.data.partition import PartitionScheme
 from repro.errors import ConfigurationError
 from repro.runtime.local import ThreadedEngine
+from repro.runtime.tcp import TcpEngine
 
 
 @pytest.fixture
@@ -68,9 +69,15 @@ class TestBasicExecution:
         with pytest.raises(ConfigurationError):
             ThreadedEngine().run(["/no/such/file"], command=print)
 
-    def test_worker_count_validation(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"num_workers": 0}, {"command_timeout": 0}, {"command_timeout": -1}],
+        ids=["workers=0", "timeout=0", "timeout=-1"],
+    )
+    @pytest.mark.parametrize("engine_cls", [ThreadedEngine, TcpEngine], ids=lambda c: c.__name__)
+    def test_constructor_validation(self, engine_cls, kwargs):
         with pytest.raises(ConfigurationError):
-            ThreadedEngine(num_workers=0)
+            engine_cls(**kwargs)
 
 
 class TestDataManagement:
