@@ -18,10 +18,12 @@ workload-feature heuristic derived from the paper's own findings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.core.strategies import StrategyKind
+from repro.errors import ConfigurationError
 from repro.util.stats import RunningStats
 
 
@@ -45,6 +47,14 @@ class WorkloadFeatures:
     bytes_per_compute_second: float
     #: Coefficient of variation of per-task compute cost.
     task_cost_cv: float = 0.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"{f.name} must be finite and >= 0, got {value!r}"
+                )
 
 
 class StrategyAdvisor:

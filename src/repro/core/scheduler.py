@@ -71,13 +71,11 @@ class MasterScheduler:
         self._clock = clock
         self._m_assigned = metrics.counter("scheduler.assigned")
         self._m_completed = metrics.counter("scheduler.completed")
-        self._m_duplicates = metrics.counter("scheduler.duplicate_results")
         self._m_errors = metrics.counter("scheduler.task_errors")
         self._m_retried = metrics.counter("scheduler.retried")
         self._m_lost = metrics.counter("scheduler.tasks_lost")
         self._m_rescinded = metrics.counter("scheduler.rescinded")
         self._m_workers_lost = metrics.counter("scheduler.workers_lost")
-        self._m_speculated = metrics.counter("scheduler.speculated")
         self._m_partitions = metrics.counter("scheduler.partition_passes")
         self._h_queue_wait = metrics.histogram("queue.wait_seconds")
         self._h_latency = metrics.histogram("task.latency_seconds")
@@ -118,39 +116,6 @@ class MasterScheduler:
     @property
     def workers(self) -> tuple[str, ...]:
         return tuple(self._workers)
-
-    # -- speculation (extension) -------------------------------------------
-    def speculate_for(self, worker_id: str) -> Optional[Assignment]:
-        """Hand ``worker_id`` a *duplicate* of an in-flight task.
-
-        Speculative execution (MapReduce-style backup tasks): when the
-        queue is empty but tasks are still running elsewhere, an idle
-        worker re-runs one — the first completion wins, the loser's
-        report is discarded. Never duplicates a task already running on
-        this worker, and at most one backup per task.
-        """
-        if self.faults.is_isolated(worker_id):
-            return None
-        candidates = [
-            a
-            for (wid, task_id), a in self._in_flight.items()
-            if wid != worker_id
-            and not any(w == worker_id and t == task_id for (w, t) in self._in_flight)
-            and sum(1 for (_w, t) in self._in_flight if t == task_id) < 2
-        ]
-        if not candidates:
-            return None
-        # Back up the longest-outstanding task (lowest index is a
-        # deterministic proxy for "assigned earliest").
-        victim = min(candidates, key=lambda a: a.task_id)
-        copy = Assignment(
-            group=victim.group, worker_id=worker_id, attempt=victim.attempt
-        )
-        self._in_flight[(worker_id, copy.task_id)] = copy
-        self._m_speculated.inc()
-        if self._clock is not None:
-            self._assigned_at[(worker_id, copy.task_id)] = self._clock()
-        return copy
 
     # -- partitioning -------------------------------------------------------
     def partition_among(
@@ -366,10 +331,6 @@ class MasterScheduler:
     def report_success(self, worker_id: str, task_id: int) -> None:
         assignment = self._pop_in_flight(worker_id, task_id)
         assigned_at = self._assigned_at.pop((worker_id, task_id), None)
-        if task_id in self.completed:
-            # A speculative copy lost the race; discard its result.
-            self._m_duplicates.inc()
-            return
         self.completed[task_id] = assignment
         self._m_completed.inc()
         if self._clock is not None and assigned_at is not None:
@@ -392,10 +353,6 @@ class MasterScheduler:
             self._drain_reserved(worker_id)
             self._g_depth.set(self._pending)
         self._m_errors.inc()
-        if task_id in self.completed:
-            return False  # a speculative copy failed after the original won
-        if any(t == task_id for (_w, t) in self._in_flight):
-            return False  # another copy is still running; let it decide
         if self.retry_policy.should_retry(assignment.attempt, worker_loss=False):
             self._requeue(assignment)
             self._m_retried.inc()
@@ -403,7 +360,7 @@ class MasterScheduler:
         self.failed_tasks.append(assignment)
         return False
 
-    def rescind(self, worker_id: str, task_id: int) -> Optional[Assignment]:
+    def rescind(self, worker_id: str, task_id: int) -> None:
         """Take back an in-flight assignment as if it was never made.
 
         The master-failover primitive: a recovered control plane fences
@@ -413,21 +370,12 @@ class MasterScheduler:
         group requeued, so the next ``next_for`` re-issues the same
         attempt number (which keeps seeded per-attempt streams, fault
         injection included, byte-identical to an uninterrupted run).
-
-        Returns the requeued assignment, or ``None`` when the task
-        already resolved through another path (then only the in-flight
-        entry is dropped).
         """
         assignment = self._pop_in_flight(worker_id, task_id)
         self._assigned_at.pop((worker_id, task_id), None)
         self._attempts[task_id] -= 1
         self._m_rescinded.inc()
-        if task_id in self.completed or any(
-            t == task_id for (_w, t) in self._in_flight
-        ):
-            return None  # a speculative copy already carried the task
         self._requeue(assignment)
-        return assignment
 
     def worker_lost(self, worker_id: str, message: str = "") -> list[Assignment]:
         """A worker's VM/connection died. Returns the assignments requeued.
@@ -440,15 +388,10 @@ class MasterScheduler:
         stranded = [
             a for (w, _t), a in list(self._in_flight.items()) if w == worker_id
         ]
+        requeued: list[Assignment] = []
         for assignment in stranded:
             del self._in_flight[(worker_id, assignment.task_id)]
             self._assigned_at.pop((worker_id, assignment.task_id), None)
-        requeued: list[Assignment] = []
-        for assignment in stranded:
-            if assignment.task_id in self.completed or any(
-                t == assignment.task_id for (_w, t) in self._in_flight
-            ):
-                continue  # a copy finished or is still running elsewhere
             if self.retry_policy.should_retry(assignment.attempt, worker_loss=True):
                 self._requeue(assignment)
                 requeued.append(assignment)

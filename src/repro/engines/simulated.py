@@ -24,6 +24,7 @@ Faithfulness notes (what maps to what in the paper):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -66,9 +67,10 @@ from repro.util.stats import union_time
 class ElasticAction:
     """One scripted elasticity step: add or remove a node at a time.
 
-    ``snapshot`` (remove only) captures the node's task outputs to the
-    master before the VM disappears — §V-A: "if resources are going to
-    disappear, snapshots of the data need to be captured".
+    Checked when built: ``action`` is ``"add"`` or ``"remove"``, a
+    remove names its node, and ``time`` / ``boot_delay`` are finite and
+    non-negative. A remove whose node the cluster does not hold raises
+    :class:`~repro.errors.ConfigurationError` when it fires.
     """
 
     time: float
@@ -76,7 +78,20 @@ class ElasticAction:
     node_id: str = ""  # for remove; ignored for add
     instance_type: Optional[InstanceType] = None
     boot_delay: float = 0.0
-    snapshot: bool = False
+
+    def __post_init__(self) -> None:
+        if self.action not in ("add", "remove"):
+            raise ConfigurationError(
+                f"ElasticAction.action must be 'add' or 'remove', got {self.action!r}"
+            )
+        if self.action == "remove" and not self.node_id:
+            raise ConfigurationError("ElasticAction.node_id is required for a remove")
+        for name in ("time", "boot_delay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"ElasticAction.{name} must be finite and >= 0, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -99,11 +114,6 @@ class SimulationOptions:
     #: "the master sends the data and asks the workers to execute" with
     #: the next request only after completion.
     prefetch_depth: int = 0
-    #: Speculative execution (extension): an idle worker whose queue is
-    #: empty re-runs an in-flight task from another worker; the first
-    #: completion wins. MapReduce-style straggler mitigation, only
-    #: meaningful for the pull-based (real-time) strategy.
-    speculative: bool = False
     #: Liveness layer (extension, §V-A future work): > 0 makes every
     #: worker node emit a heartbeat at this period and the master run a
     #: sweep at the same period, so *silent* node deaths are detected
@@ -176,7 +186,6 @@ class SimulatedEngine:
         static_chunking: str = "contiguous",
         master_failure_at: float | None = None,
         master_recovery_time: float | None = None,
-        output_bytes_per_task: float = 0.0,
         data_source: str = "master",
         max_sim_time: float = 10_000_000.0,
         telemetry: Telemetry | None = None,
@@ -196,9 +205,6 @@ class SimulatedEngine:
           the given time; with a recovery time the controller restarts
           it and data service resumes, without one the run terminates
           with whatever completed,
-        - ``output_bytes_per_task``: task outputs left on worker disks
-          (§II-D "left behind on the workers"), snapshot-able on
-          elastic removal,
         - ``data_source``: ``"master"`` (default — the master sits
           "close to the source of the input data", §II-B) or
           ``"network_storage"`` — inputs live on the shared iSCSI-style
@@ -253,7 +259,6 @@ class SimulatedEngine:
                 static_chunking=static_chunking,
                 master_failure_at=master_failure_at,
                 master_recovery_time=master_recovery_time,
-                output_bytes_per_task=output_bytes_per_task,
                 data_source=data_source,
                 telemetry=telemetry,
             )
@@ -301,7 +306,6 @@ class _SimulatedRun:
         static_chunking: str = "contiguous",
         master_failure_at: float | None = None,
         master_recovery_time: float | None = None,
-        output_bytes_per_task: float = 0.0,
         data_source: str = "master",
         telemetry: Telemetry | None = None,
     ):
@@ -348,7 +352,6 @@ class _SimulatedRun:
         self.static_chunking = static_chunking
         self.master_failure_at = master_failure_at
         self.master_recovery_time = master_recovery_time
-        self.output_bytes_per_task = float(output_bytes_per_task)
         if data_source not in ("master", "network_storage"):
             raise ConfigurationError(
                 f"data_source must be 'master' or 'network_storage', got {data_source!r}"
@@ -364,7 +367,6 @@ class _SimulatedRun:
                 else float("inf")
             )
             self.master_outage = (master_failure_at, end)
-        self.outputs_snapshotted = 0.0
 
         # The telemetry hub: a shared one (--trace) is re-bound to this
         # run's clock; otherwise the run records into a private hub.
@@ -922,15 +924,12 @@ class _SimulatedRun:
         env = self.env
         sched = self.scheduler
         wid = logic.worker_id
-        speculative = self.options.speculative and self.controller.strategy.lazy
         while True:
             if sched.done:
                 return None
             request_start = env.now
             yield self._rtt()  # REQUEST_DATA round trip
             assignment = sched.next_for(wid)
-            if assignment is None and speculative:
-                assignment = sched.speculate_for(wid)
             if assignment is None:
                 if not sched.may_get_work_later(wid):
                     return None  # NO_MORE_DATA
@@ -1075,20 +1074,6 @@ class _SimulatedRun:
             if cost > 0:
                 yield env.timeout(cost)
             logic.finish_task(env.now, ok=True)
-        if self.output_bytes_per_task > 0:
-            # §II-D: results "left behind on the workers" — written to
-            # the ephemeral local disk (lost with the VM unless
-            # snapshotted on scale-down).
-            write = self.cluster.network.start_flow(
-                vm.local_disk.write_path(),
-                self.output_bytes_per_task,
-                tag=f"out:{wid}",
-            )
-            yield write.done
-            if vm.is_running:
-                vm.local_disk.store_file(
-                    f"out-task{group.index:06d}", int(self.output_bytes_per_task)
-                )
         self.scheduler.report_success(wid, group.index)
         self.telemetry.span_complete(
             "exec",
@@ -1150,64 +1135,21 @@ class _SimulatedRun:
                 for wid in plan.worker_ids:
                     self.worker_logics[wid].receive_file(f.name)
             self._spawn_node_workers(vm)
-        elif action.action == "remove":
-            node_id = action.node_id
-            if node_id in self.cluster.vms:
-                self.telemetry.event(
-                    "elastic.remove", node_id, track="control", snapshot=action.snapshot
-                )
-                self.controller.on_worker_removed(node_id, env.now)
-                if action.snapshot:
-                    yield from self._snapshot_outputs(node_id)
-                self.cluster.fail_vm(node_id, cause="elastic-remove")
         else:
-            raise ConfigurationError(f"unknown elastic action {action.action!r}")
-
-    def _snapshot_outputs(self, node_id: str):
-        """Process fragment: copy the node's task outputs to the master
-        before the VM disappears (§V-A: "snapshots of the data need to
-        be captured")."""
-        cluster = self.cluster
-        vm = cluster.vm(node_id)
-        outputs = [
-            name for name in vm.local_disk.file_names() if name.startswith("out-task")
-        ]
-        if not outputs:
-            return
-        master = cluster.master_vm
-        snap_start = self.env.now
-        path = (
-            vm.local_disk.read_path()
-            + cluster.route_between(node_id, master.vm_id)
-            + master.local_disk.write_path()
-        )
-        flows = []
-        for name in outputs:
-            size = int(self.output_bytes_per_task) or 1
-            flows.append(
-                cluster.network.start_flow(path, size, tag=f"snapshot:{node_id}")
-            )
-        yield self.env.all_of([f.done for f in flows])
-        for name in outputs:
-            master.local_disk.store_file(name, int(self.output_bytes_per_task) or 1)
-            self.outputs_snapshotted += self.output_bytes_per_task
-        self.telemetry.span_complete(
-            "snapshot",
-            snap_start,
-            self.env.now,
-            parent=self._run_span,
-            track="control",
-            node=node_id,
-        )
-        self.controller.log(
-            self.env.now, "OUTPUTS_SNAPSHOTTED", f"{node_id}: {len(outputs)} files"
-        )
+            node_id = action.node_id
+            if node_id not in self.cluster.vms:
+                raise ConfigurationError(
+                    f"elastic remove names unknown node {node_id!r}"
+                )
+            self.telemetry.event("elastic.remove", node_id, track="control")
+            self.controller.on_worker_removed(node_id, env.now)
+            self.cluster.fail_vm(node_id, cause="elastic-remove")
 
     # -- outcome ---------------------------------------------------------------
     def _span_unions(self) -> dict[str, float]:
         """Union time per Fig 6 span key over this run's span log slice."""
         intervals: dict[str, list[tuple[float, float]]] = {
-            key: [] for key in ("transfer", "exec", "staging", "snapshot")
+            key: [] for key in ("transfer", "exec", "staging")
         }
         # Raw rows in SpanRecord field order: (id, parent, key, start, end, ...).
         for row in self.telemetry.spans.rows(self._first_span):
@@ -1245,8 +1187,6 @@ class _SimulatedRun:
                 "failures": [e.detail for e in events if e.kind == "WORKER_FAILED"],
                 "master_failed": any(e.kind == "MASTER_FAILED" for e in events),
                 "master_recovered": any(e.kind == "MASTER_RECOVERED" for e in events),
-                "outputs_snapshotted_bytes": self.outputs_snapshotted,
-                "snapshot_time": unions["snapshot"],
                 "transfer_failures": sum(1 for r in results if not r.ok),
                 "transfer_attempts": sum(r.attempts for r in results),
                 "link_faults": (

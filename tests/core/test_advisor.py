@@ -1,7 +1,10 @@
 """Unit tests for the adaptive strategy advisor (extension)."""
 
+import pytest
+
 from repro.core.advisor import RunRecord, StrategyAdvisor, WorkloadFeatures
 from repro.core.strategies import StrategyKind
+from repro.errors import ConfigurationError
 
 
 def record(app, strategy, makespan):
@@ -26,6 +29,21 @@ class TestColdStart:
             StrategyAdvisor().recommend("uniform", features)
             is StrategyKind.PRE_PARTITIONED_REMOTE
         )
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"bytes_per_compute_second": -5.0}, "bytes_per_compute_second"),
+        ({"bytes_per_compute_second": float("nan")}, "bytes_per_compute_second"),
+        ({"bytes_per_compute_second": 1.0, "task_cost_cv": -2.0}, "task_cost_cv"),
+        ({"bytes_per_compute_second": 1.0, "task_cost_cv": float("inf")}, "task_cost_cv"),
+    ],
+    ids=["negative-bytes", "nan-bytes", "negative-cv", "infinite-cv"],
+)
+def test_impossible_features_are_rejected(kwargs, field):
+    with pytest.raises(ConfigurationError, match=field):
+        WorkloadFeatures(**kwargs)
 
 
 class TestHistory:

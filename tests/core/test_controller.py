@@ -511,11 +511,11 @@ class TestOneLossPath:
 class TestOneDrawStep:
     def test_simulated_workers_draw_in_one_function(self):
         """The simulated worker pulls its next group through one draw
-        step, with or without prefetch: ``next_for`` and
-        ``speculate_for`` are each called from a single function in
-        ``engines/simulated.py``, so a second copy cannot drift."""
+        step, with or without prefetch: ``next_for`` is called from a
+        single function in ``engines/simulated.py``, so a second copy
+        cannot drift."""
         path = Path(repro.__file__).parent / "engines" / "simulated.py"
-        callers: dict[str, set[str]] = {"next_for": set(), "speculate_for": set()}
+        callers: set[str] = set()
         for func in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -523,10 +523,7 @@ class TestOneDrawStep:
                 if (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in callers
+                    and node.func.attr == "next_for"
                 ):
-                    callers[node.func.attr].add(func.name)
-        assert {name: len(funcs) for name, funcs in callers.items()} == {
-            "next_for": 1,
-            "speculate_for": 1,
-        }, callers
+                    callers.add(func.name)
+        assert len(callers) == 1, callers

@@ -161,64 +161,6 @@ class TestReservedRetryBudget:
         assert sched.lost_tasks and sched.done
 
 
-class TestSpeculationFailureInterplay:
-    def _speculating_pair(self, *, retry_policy=None, fault_tracker=None):
-        sched = build(
-            1,
-            StrategyKind.REAL_TIME,
-            ["w0", "w1"],
-            retry_policy=retry_policy or RetryPolicy.paper_faithful(),
-            fault_tracker=fault_tracker or FaultTracker(),
-        )
-        original = sched.next_for("w0")
-        backup = sched.speculate_for("w1")
-        assert backup is not None and backup.task_id == original.task_id
-        return sched, original, backup
-
-    def test_loser_success_report_discarded(self):
-        sched, original, _backup = self._speculating_pair()
-        sched.report_success("w0", original.task_id)
-        sched.report_success("w1", original.task_id)  # loser of the race
-        assert len(sched.completed) == 1
-        assert sched.completed[original.task_id].worker_id == "w0"
-        assert sched.done
-
-    def test_loser_error_after_original_won_is_not_retried(self):
-        tracker = FaultTracker(isolate_after=10)
-        sched, original, _backup = self._speculating_pair(
-            retry_policy=RetryPolicy.resilient(), fault_tracker=tracker
-        )
-        sched.report_success("w0", original.task_id)
-        retried = sched.report_error("w1", original.task_id, "late crash")
-        assert retried is False
-        assert not sched.failed_tasks  # the task *succeeded*
-        # The error still counts against the loser's health record.
-        assert tracker.health("w1").errors == 1
-        assert sched.done
-
-    def test_worker_lost_while_backup_in_flight_defers_to_backup(self):
-        sched, original, _backup = self._speculating_pair(
-            retry_policy=RetryPolicy.resilient()
-        )
-        requeued = sched.worker_lost("w0")
-        assert requeued == []  # backup still running; no third copy
-        assert sched.summary()["lost"] == 0
-        assert not sched.done
-        sched.report_success("w1", original.task_id)
-        assert sched.done
-
-    def test_error_with_backup_in_flight_defers_to_backup(self):
-        sched, original, _backup = self._speculating_pair(
-            retry_policy=RetryPolicy.resilient(),
-            fault_tracker=FaultTracker(isolate_after=10),
-        )
-        retried = sched.report_error("w0", original.task_id, "boom")
-        assert retried is False  # the backup copy will decide the outcome
-        sched.report_success("w1", original.task_id)
-        assert len(sched.completed) == 1
-        assert sched.done
-
-
 class TestChunkingEdge:
     def test_lpt_cost_requires_hint(self):
         from repro.errors import ProtocolError

@@ -5,8 +5,8 @@ multi-tenant service (and SLO probes) read per job; any mutation path
 that leaves them stale turns into a cross-job lie the moment two jobs
 share the plane.  These tests audit the paths that historically
 drifted: worker loss before partition time, error-count isolation
-stranding a reserved static chunk, requeues, speculation, and the
-empty-workload edge.
+stranding a reserved static chunk, requeues, and the empty-workload
+edge.
 """
 
 import random
@@ -116,7 +116,7 @@ class TestChaosGaugeInvariant:
     )
     @pytest.mark.parametrize("seed", [7, 21, 1234])
     def test_gauge_equals_pending_under_chaos(self, strategy, seed):
-        """Drive a randomized mix of success/error/loss/speculation and
+        """Drive a randomized mix of success/error/loss and
         assert gauge == actual pending after every single event."""
         rng = random.Random(seed)
         metrics = MetricsRegistry()
@@ -143,10 +143,9 @@ class TestChaosGaugeInvariant:
             roll = rng.random()
             if roll < 0.55:
                 w = rng.choice(healthy)
-                a = sched.next_for(w) or sched.speculate_for(w)
+                a = sched.next_for(w)
                 if a is not None and rng.random() < 0.85:
-                    if sched.has_in_flight(w, a.task_id):
-                        sched.report_success(w, a.task_id)
+                    sched.report_success(w, a.task_id)
             elif roll < 0.8:
                 victims = [
                     (w, t) for (w, t) in sched._in_flight if w in healthy
@@ -158,9 +157,6 @@ class TestChaosGaugeInvariant:
                 w = rng.choice(healthy)
                 sched.worker_lost(w, "chaos kill")
                 alive.discard(w)
-            else:
-                w = rng.choice(healthy)
-                sched.speculate_for(w)
             assert_gauge_consistent(sched, metrics)
 
         # Drain whatever is left with the survivors so the run ends in a

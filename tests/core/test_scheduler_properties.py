@@ -1,9 +1,11 @@
 """Property-based tests for scheduler invariants.
 
-Under any interleaving of requests/successes/errors/losses:
+Under any interleaving of requests/successes/errors/losses/rescinds:
 
 - a task id is never completed twice,
-- completed + failed + lost + in-flight + queued == total,
+- completed + failed + lost + in-flight + queued == total, exactly
+  (every task has at most one in-flight copy),
+- a rescind rolls the task's attempt count back by one,
 - with no failures every task completes exactly once (work
   conservation),
 - pull mode never hands out more than `total` assignments when
@@ -75,7 +77,9 @@ def test_accounting_invariant_with_chaos(n_files, strategy, n_workers, data):
         if sched.done or not alive:
             break
         wid = data.draw(st.sampled_from(sorted(alive)))
-        action = data.draw(st.sampled_from(["ok", "ok", "ok", "err", "lose"]))
+        action = data.draw(
+            st.sampled_from(["ok", "ok", "ok", "err", "lose", "rescind"])
+        )
         assignment = sched.next_for(wid)
         if assignment is None:
             if action == "lose" and len(alive) > 1:
@@ -87,13 +91,23 @@ def test_accounting_invariant_with_chaos(n_files, strategy, n_workers, data):
             alive.discard(wid)
         elif action == "err":
             sched.report_error(wid, assignment.task_id, "chaos")
+        elif action == "rescind":
+            sched.rescind(wid, assignment.task_id)
+            assert sched._attempts[assignment.task_id] == assignment.attempt - 1
         else:
             assert assignment.task_id not in seen_completed, "double completion"
             sched.report_success(wid, assignment.task_id)
             seen_completed.add(assignment.task_id)
         # Accounting invariant after every step.
         summary = sched.summary()
-        assert summary["completed"] + summary["failed"] + summary["lost"] <= n_files
+        assert (
+            summary["completed"]
+            + summary["failed"]
+            + summary["lost"]
+            + summary["in_flight"]
+            + sched.pending_count
+            == n_files
+        )
         assert summary["completed"] == len(seen_completed)
     # Terminal states are consistent.
     assert len(sched.completed) == len(seen_completed)

@@ -1,8 +1,8 @@
 """The Fig 6 decomposition comes from this run's slice of the span log.
 
-``SimulatedEngine.run`` reads its transfer/execution/staging/snapshot
-unions back from the telemetry hub's span log, so a hub that does not
-record is refused rather than silently reporting zero, and a hub shared
+``SimulatedEngine.run`` reads its transfer/execution/staging unions
+back from the telemetry hub's span log, so a hub that does not record
+is refused rather than silently reporting zero, and a hub shared
 across a sweep must give every run exactly the figures a fresh hub
 would.
 """
@@ -41,7 +41,6 @@ def _fig6(outcome):
         outcome.transfer_time,
         outcome.execution_time,
         outcome.extra["staging_time"],
-        outcome.extra["snapshot_time"],
     )
 
 

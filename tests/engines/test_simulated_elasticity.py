@@ -1,5 +1,6 @@
 """Elasticity on the simulated engine (§V-A Elastic)."""
 
+import pytest
 
 from repro.cloud.cluster import ClusterSpec
 from repro.cloud.instance import M1_SMALL
@@ -8,6 +9,7 @@ from repro.data.files import DataFile, synthetic_dataset
 from repro.data.partition import PartitionScheme
 from repro.engines.compute import FixedComputeModel
 from repro.engines.simulated import ElasticAction, SimulatedEngine, SimulationOptions
+from repro.errors import ConfigurationError
 from repro.transfer.base import TransferProtocol
 
 
@@ -102,3 +104,33 @@ class TestScaleIn:
             elasticity=[ElasticAction(time=5.0, action="remove", node_id="worker1")],
         )
         assert outcome.tasks_completed + outcome.tasks_lost == outcome.tasks_total
+
+
+class TestBadActions:
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"time": 500.0, "action": "Add"}, r"\.action"),
+            ({"time": 1.0, "action": "remove"}, r"\.node_id"),
+            ({"time": float("nan"), "action": "add"}, r"\.time"),
+            ({"time": -1.0, "action": "add"}, r"\.time"),
+            ({"time": 1.0, "action": "add", "boot_delay": -1.0}, r"\.boot_delay"),
+            ({"time": 1.0, "action": "add", "boot_delay": float("inf")}, r"\.boot_delay"),
+            ({"time": 1.0, "action": "remove", "node_id": "worker9"}, "unknown node 'worker9'"),
+        ],
+        ids=[
+            "misspelt-action",
+            "remove-without-node",
+            "nan-time",
+            "negative-time",
+            "negative-boot-delay",
+            "infinite-boot-delay",
+            "unknown-node",
+        ],
+    )
+    def test_bad_action_is_rejected(self, kwargs, match):
+        # Field errors raise when the action is built; an unknown node
+        # raises when its removal fires. Either way the run never
+        # completes silently.
+        with pytest.raises(ConfigurationError, match=match):
+            run(elasticity=[ElasticAction(**kwargs)])

@@ -1,5 +1,5 @@
 """Tests for the opt-in engine extensions: prefetch, LPT chunking,
-master outage/recovery, output snapshots on scale-down."""
+master outage/recovery."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.core.strategies import StrategyKind
 from repro.data.files import synthetic_dataset
 from repro.data.partition import PartitionScheme
 from repro.engines.compute import FixedComputeModel, StochasticComputeModel
-from repro.engines.simulated import ElasticAction, SimulatedEngine, SimulationOptions
+from repro.engines.simulated import SimulatedEngine, SimulationOptions
 from repro.errors import ConfigurationError
 
 SPEC = ClusterSpec(num_workers=4)
@@ -160,41 +160,5 @@ class TestMasterOutage:
             strategy=StrategyKind.PRE_PARTITIONED_LOCAL,
             master_failure_at=1.0,
             master_recovery_time=5.0,
-        )
-        assert outcome.all_tasks_ok
-
-
-class TestOutputSnapshots:
-    def _run(self, snapshot, remove_at=25.0):
-        return SimulatedEngine(SPEC).run(
-            dataset(),
-            compute_model=FixedComputeModel(2.0),
-            strategy=StrategyKind.REAL_TIME,
-            grouping=PartitionScheme.PAIRWISE_ADJACENT,
-            output_bytes_per_task=1_000_000,
-            elasticity=[
-                ElasticAction(
-                    time=remove_at, action="remove", node_id="worker2", snapshot=snapshot
-                )
-            ],
-        )
-
-    def test_snapshot_captures_outputs(self):
-        outcome = self._run(snapshot=True)
-        assert outcome.extra["outputs_snapshotted_bytes"] > 0
-        assert outcome.extra["snapshot_time"] > 0
-        kinds = [e.kind for e in outcome.controller_events]
-        assert "OUTPUTS_SNAPSHOTTED" in kinds
-
-    def test_no_snapshot_loses_outputs(self):
-        outcome = self._run(snapshot=False)
-        assert outcome.extra["outputs_snapshotted_bytes"] == 0
-
-    def test_outputs_do_not_break_completion(self):
-        outcome = SimulatedEngine(SPEC).run(
-            dataset(n=20, size="1 KB"),
-            compute_model=FixedComputeModel(0.5),
-            strategy=StrategyKind.REAL_TIME,
-            output_bytes_per_task=500_000,
         )
         assert outcome.all_tasks_ok

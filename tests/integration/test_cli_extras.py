@@ -43,6 +43,23 @@ class TestChunkGroupings:
         assert "tasks=3/3" in out
 
 
+class TestAdvise:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bytes-per-compute-second", "-5", "--task-cost-cv", "-2"],
+            ["--bytes-per-compute-second", "nan"],
+        ],
+        ids=["negative", "nan"],
+    )
+    def test_impossible_workload_exits_2(self, argv, capsys):
+        code = frieda_main(["advise", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: " in captured.err and "must be finite and >= 0" in captured.err
+
+
 class TestExperimentsPlotFlag:
     def test_fig6_plot(self, capsys):
         code = experiments_main(["fig6", "--scale", "0.05", "--plot"])
