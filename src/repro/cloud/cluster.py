@@ -141,18 +141,11 @@ class VirtualCluster:
     def worker_vms(self) -> list[VirtualMachine]:
         return [vm for vm_id, vm in self.vms.items() if vm is not self.master_vm]
 
-    def running_workers(self) -> list[VirtualMachine]:
-        return [vm for vm in self.worker_vms if vm.is_running]
-
     def vm(self, vm_id: str) -> VirtualMachine:
         try:
             return self.vms[vm_id]
         except KeyError:
             raise ProvisioningError(f"unknown VM {vm_id!r}") from None
-
-    @property
-    def total_cores(self) -> int:
-        return sum(vm.itype.cores for vm in self.vms.values() if vm.is_running)
 
     # -- routing ----------------------------------------------------------
     def route_between(self, src_vm: str, dst_vm: str) -> tuple[str, ...]:
@@ -189,7 +182,11 @@ class VirtualCluster:
 
     # -- failure hook -------------------------------------------------------
     def fail_vm(self, vm_id: str, cause: str = "injected") -> None:
+        """Fail a VM once: a VM that already failed or was terminated is
+        left alone, so ``cluster.vm_failures`` counts each VM at most once."""
         vm = self.vm(vm_id)
+        if vm.is_gone:
+            return
         vm.fail(cause)
         if vm.local_disk is not None:
             vm.local_disk.clear()  # ephemeral disk dies with the VM
@@ -215,7 +212,13 @@ class Provisioner:
     def provision(self, spec: ClusterSpec) -> tuple[VirtualCluster, Event]:
         """Create the cluster; returns (cluster, ready_event)."""
         cluster = VirtualCluster(self.env, spec, self.telemetry)
-        rng = make_rng(spec.seed, "provision", spec.name)
+        # Built only when boots draw a delay: numpy stays unloaded on
+        # runs that never draw a random number.
+        rng = (
+            make_rng(spec.seed, "provision", spec.name)
+            if spec.mean_boot_delay_s > 0
+            else None
+        )
         master = cluster.create_vm(
             "master", spec.master_instance_type or spec.instance_type
         )

@@ -28,9 +28,7 @@ named streams, so every chaos scenario replays byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cloud.cluster import VirtualCluster
 from repro.cloud.network import FlowNetwork
@@ -38,6 +36,9 @@ from repro.errors import ConfigurationError
 from repro.sim.kernel import Environment
 from repro.telemetry.metrics import NULL_METRICS
 from repro.util.seeding import make_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Failure-cause marker for silent (fail-stop without notification)
 #: VM deaths. The engine's worker loop checks for this prefix to decide

@@ -132,6 +132,11 @@ class VirtualMachine:
     def is_running(self) -> bool:
         return self.state is VmState.RUNNING
 
+    @property
+    def is_gone(self) -> bool:
+        """True once the VM failed or was terminated: it never runs again."""
+        return self.state in (VmState.FAILED, VmState.TERMINATED)
+
     def register_process(self, process: Process) -> Process:
         """Track a process so :meth:`fail` can interrupt it."""
         self._processes.append(process)
@@ -139,7 +144,7 @@ class VirtualMachine:
 
     def fail(self, cause: str = "vm-failure") -> None:
         """Kill the VM: interrupt all registered live processes."""
-        if self.state in (VmState.FAILED, VmState.TERMINATED):
+        if self.is_gone:
             return
         self.state = VmState.FAILED
         self.failure_time = self.env.now

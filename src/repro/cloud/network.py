@@ -69,7 +69,7 @@ import math
 import operator
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from repro.cloud.maxmin import solve_rates
 from repro.errors import NetworkError
@@ -89,6 +89,8 @@ _EPSILON_TIME = 1e-9
 
 _LINK_NAME = operator.attrgetter("name")
 _FLOW_ID = operator.attrgetter("id")
+
+_NO_FLOWS: frozenset = frozenset()
 
 
 class Link:
@@ -124,7 +126,10 @@ class Link:
         self.capacity = float(capacity_bps)
         self.base_capacity = float(capacity_bps)
         self.latency = float(latency_s)
-        self._flows: set["Flow"] = set()
+        #: Flows crossing this link; the shared empty set until the
+        #: first one is admitted (many links of a wide cluster never
+        #: carry a flow).
+        self._flows: AbstractSet["Flow"] = _NO_FLOWS
         #: Visit stamp for component discovery (see FlowNetwork._component).
         self._visit = 0
         # Token-validated scratch slots for the scalar max-min solver
@@ -585,6 +590,8 @@ class FlowNetwork:
                     continue  # cancelled between admission and service
                 self._flows[flow] = None
                 for link in flow.path:
+                    if link._flows is _NO_FLOWS:
+                        link._flows = set()
                     link._flows.add(flow)
                 self._dirty_links.update(flow.path)
 

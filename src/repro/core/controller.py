@@ -366,10 +366,6 @@ class ControllerLogic:
         """The plans hosted on one node (no scan over the whole fleet)."""
         return tuple(self._plans_by_node.get(node_id, ()))
 
-    @property
-    def all_worker_ids(self) -> tuple[str, ...]:
-        return tuple(w for plan in self.worker_plans for w in plan.worker_ids)
-
     # -- observation -----------------------------------------------------------
     def observe(self, now: float, *, sample_queue: bool) -> None:
         """One observation tick: a ``queue.depth`` event when

@@ -23,13 +23,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, Optional, Sequence
+from typing import Callable, Deque, Iterable, Optional, Sequence, Union
 
 from repro.core.fault import FaultTracker, RetryPolicy
 from repro.core.strategies import DataManagementStrategy
 from repro.data.partition import TaskGroup
 from repro.errors import ProtocolError
 from repro.telemetry.metrics import MetricsRegistry, NULL_METRICS
+
+#: A static chunk: a ``range`` of positions into the scheduler's group
+#: list while it is still the contiguous slice partitioning carved, or
+#: a deque of groups once a requeue lands on it (or LPT chunking built
+#: it). Most workers of a wide run never hold a task, so an empty chunk
+#: is the one shared empty range rather than a container per worker.
+Chunk = Union[range, Deque[TaskGroup]]
+_NO_TASKS = range(0)
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ class MasterScheduler:
         self._assigned_at: dict[tuple[str, int], float] = {}
         self._attempts: dict[int, int] = {g.index: 0 for g in self._groups}
         self._queue: Deque[TaskGroup] = deque(self._groups)
-        self._static_chunks: dict[str, Deque[TaskGroup]] = {}
+        self._static_chunks: dict[str, Chunk] = {}
         self._partitioned = False
         self._workers: list[str] = []
         self._worker_set: set[str] = set()
@@ -111,7 +119,7 @@ class MasterScheduler:
         if self.strategy.static_assignment and self._partitioned:
             # Late joiner under static assignment: nothing was reserved
             # for it; it only gets work via retry requeues.
-            self._static_chunks.setdefault(worker_id, deque())
+            self._static_chunks.setdefault(worker_id, _NO_TASKS)
 
     @property
     def workers(self) -> tuple[str, ...]:
@@ -165,18 +173,20 @@ class MasterScheduler:
         # Under static assignment the chunks own the work; the global
         # queue only ever holds retry requeues that no chunk can take.
         self._queue.clear()
-        self._static_chunks = {w: deque() for w in ids}
         if chunking == "contiguous":
             n = len(self._groups)
             k = len(ids)
             base, extra = divmod(n, k)
+            self._static_chunks = {}
             start = 0
             for rank, worker_id in enumerate(ids):
                 size = base + (1 if rank < extra else 0)
-                for group in self._groups[start : start + size]:
-                    self._static_chunks[worker_id].append(group)
+                self._static_chunks[worker_id] = (
+                    range(start, start + size) if size else _NO_TASKS
+                )
                 start += size
         elif chunking in ("lpt_size", "lpt_cost"):
+            self._static_chunks = {w: deque() for w in ids}
             if chunking == "lpt_cost":
                 if cost_hint is None:
                     raise ProtocolError("lpt_cost chunking needs a cost_hint")
@@ -211,7 +221,13 @@ class MasterScheduler:
 
     def planned_chunk(self, worker_id: str) -> tuple[TaskGroup, ...]:
         """The chunk reserved for a worker (static strategies)."""
-        return tuple(self._static_chunks.get(worker_id, ()))
+        return tuple(self._chunk_groups(self._static_chunks.get(worker_id, _NO_TASKS)))
+
+    def _chunk_groups(self, chunk: Chunk) -> Sequence[TaskGroup]:
+        """A chunk's groups in serving order."""
+        if type(chunk) is range:
+            return self._groups[chunk.start : chunk.stop]
+        return chunk
 
     # -- assignment -----------------------------------------------------------
     def peek_pending(self) -> Optional[TaskGroup]:
@@ -234,18 +250,25 @@ class MasterScheduler:
             raise ProtocolError("next_for() before partition_among()")
         if self.faults.is_isolated(worker_id):
             return None
-        if self.strategy.static_assignment:
-            source = self._static_chunks.get(worker_id)
-            if not source:
-                # Chunk drained (or late elastic joiner): serve retry
-                # requeues from the overflow queue so no task is
-                # stranded while a healthy worker is idle.
-                source = self._queue
+        chunk = (
+            self._static_chunks.get(worker_id)
+            if self.strategy.static_assignment
+            else None
+        )
+        if chunk:
+            if type(chunk) is range:
+                group = self._groups[chunk.start]
+                self._static_chunks[worker_id] = chunk[1:]
+            else:
+                group = chunk.popleft()
+        elif self._queue:
+            # Pull strategies always draw here; under static assignment
+            # a drained chunk (or a late elastic joiner) serves retry
+            # requeues so no task is stranded while a healthy worker is
+            # idle.
+            group = self._queue.popleft()
         else:
-            source = self._queue
-        if not source:
             return None
-        group = source.popleft()
         self._attempts[group.index] += 1
         assignment = Assignment(
             group=group, worker_id=worker_id, attempt=self._attempts[group.index]
@@ -313,8 +336,7 @@ class MasterScheduler:
         self._assigned_at.clear()
         self._ready_at.clear()
         self._queue.clear()
-        for chunk in self._static_chunks.values():
-            chunk.clear()
+        self._static_chunks = dict.fromkeys(self._static_chunks, _NO_TASKS)
         self._pending = 0
         self._g_depth.set(0)
         return newly_lost
@@ -413,7 +435,9 @@ class MasterScheduler:
         requeueing forever) or is recorded lost.  Callers refresh the
         ``queue.depth`` gauge afterwards.
         """
-        reserved = list(self._static_chunks.pop(worker_id, ()))
+        reserved = list(
+            self._chunk_groups(self._static_chunks.pop(worker_id, _NO_TASKS))
+        )
         self._pending -= len(reserved)
         requeued: list[Assignment] = []
         for group in reserved:
@@ -443,7 +467,10 @@ class MasterScheduler:
             ]
             if healthy:
                 _, wid = min(healthy)
-                self._static_chunks[wid].append(assignment.group)
+                chunk = self._static_chunks[wid]
+                if type(chunk) is range:
+                    chunk = self._static_chunks[wid] = deque(self._chunk_groups(chunk))
+                chunk.append(assignment.group)
                 return
             # No healthy worker holds a chunk — fall through to the queue
             # so a future elastic worker can pick it up.
@@ -528,7 +555,7 @@ class MasterScheduler:
             "attempts": [[t, n] for t, n in self._attempts.items()],
             "queue": [g.index for g in self._queue],
             "chunks": [
-                [w, [g.index for g in chunk]]
+                [w, [g.index for g in self._chunk_groups(chunk)]]
                 for w, chunk in self._static_chunks.items()
             ],
             "partitioned": self._partitioned,
@@ -580,7 +607,8 @@ class MasterScheduler:
         sched._attempts = {int(t): int(n) for t, n in state["attempts"]}
         sched._queue = deque(by_index[t] for t in state["queue"])
         sched._static_chunks = {
-            w: deque(by_index[t] for t in ids) for w, ids in state["chunks"]
+            w: deque(by_index[t] for t in ids) if ids else _NO_TASKS
+            for w, ids in state["chunks"]
         }
         sched._partitioned = bool(state["partitioned"])
         sched._workers = list(state["workers"])

@@ -14,7 +14,7 @@ local data or previously received files are not re-fetched).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from repro.core.commands import CommandTemplate
 from repro.errors import ProtocolError
@@ -39,8 +39,26 @@ class TaskExecution:
         return self.finished - self.started
 
 
+#: ``local_files`` of a worker that has received nothing yet: one shared
+#: empty set instead of a set per clone (most clones of a wide run never
+#: hold a file).
+_NO_FILES: frozenset[str] = frozenset()
+
+
 class WorkerLogic:
     """State for one worker clone (``node:cloneIndex``)."""
+
+    __slots__ = (
+        "worker_id",
+        "node_id",
+        "command",
+        "scratch_dir",
+        "local_files",
+        "path_overrides",
+        "tasks_completed",
+        "busy_time",
+        "_current",
+    )
 
     def __init__(
         self,
@@ -54,11 +72,14 @@ class WorkerLogic:
         self.node_id = node_id
         self.command = command
         self.scratch_dir = scratch_dir
-        self.local_files: set[str] = set()
+        self.local_files: AbstractSet[str] = _NO_FILES
         #: name → absolute path for files resident outside the scratch
-        #: directory (pre-partitioned-local data keeps original paths).
-        self.path_overrides: dict[str, str] = {}
-        self.executions: list[TaskExecution] = []
+        #: directory (pre-partitioned-local data keeps original paths);
+        #: None until :meth:`receive_file` is given a path.
+        self.path_overrides: Optional[dict[str, str]] = None
+        self.tasks_completed = 0
+        #: Seconds of finished tasks (``0``, an int, until one finishes).
+        self.busy_time: float = 0
         self._current: Optional[TaskExecution] = None
 
     # -- data ------------------------------------------------------------
@@ -66,14 +87,23 @@ class WorkerLogic:
         """Which of a task's inputs still need transferring here."""
         return tuple(n for n in file_names if n not in self.local_files)
 
-    def receive_file(self, file_name: str) -> None:
+    def receive_file(self, file_name: str, path: str | None = None) -> None:
+        """Mark a file resident here; ``path`` is where it lives when it
+        is outside the scratch directory."""
+        if self.local_files is _NO_FILES:
+            self.local_files = set()
         self.local_files.add(file_name)
+        if path is not None:
+            if self.path_overrides is None:
+                self.path_overrides = {}
+            self.path_overrides[file_name] = path
 
     def resolve_path(self, file_name: str) -> str:
         """Local path the command sees for a received file."""
-        override = self.path_overrides.get(file_name)
-        if override is not None:
-            return override
+        if self.path_overrides is not None:
+            override = self.path_overrides.get(file_name)
+            if override is not None:
+                return override
         if self.scratch_dir:
             return f"{self.scratch_dir.rstrip('/')}/{file_name}"
         return file_name
@@ -115,7 +145,9 @@ class WorkerLogic:
         record.finished = now
         record.ok = ok
         record.error = error
-        self.executions.append(record)
+        self.busy_time += record.duration
+        if ok:
+            self.tasks_completed += 1
         self._current = None
         return record
 
@@ -124,12 +156,3 @@ class WorkerLogic:
         if self._current is None:
             return None
         return self.finish_task(now, ok=False, error=error)
-
-    # -- accounting -----------------------------------------------------------
-    @property
-    def tasks_completed(self) -> int:
-        return sum(1 for e in self.executions if e.ok)
-
-    @property
-    def busy_time(self) -> float:
-        return sum(e.duration for e in self.executions)

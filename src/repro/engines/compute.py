@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
-import numpy as np
-
 from repro.data.partition import TaskGroup
 from repro.util.seeding import derive_seed
 
@@ -66,6 +64,8 @@ class StochasticComputeModel:
     def cost(self, group: TaskGroup) -> float:
         if self.cv <= 0:
             return self.mean_seconds
+        import numpy as np
+
         rng = np.random.default_rng(derive_seed(self.seed, "task-cost", group.index))
         sigma2 = np.log(1.0 + self.cv**2)
         mu = np.log(self.mean_seconds) - sigma2 / 2.0

@@ -1137,10 +1137,16 @@ class _SimulatedRun:
             self._spawn_node_workers(vm)
         else:
             node_id = action.node_id
-            if node_id not in self.cluster.vms:
+            vm = self.cluster.vms.get(node_id)
+            if vm is None:
                 raise ConfigurationError(
                     f"elastic remove names unknown node {node_id!r}"
                 )
+            if vm.is_gone:
+                # Already removed or failed: its work was accounted for
+                # then, so nothing is removed twice.
+                self.controller.log(env.now, "ELASTIC_REMOVE_IGNORED", node_id)
+                return
             self.telemetry.event("elastic.remove", node_id, track="control")
             self.controller.on_worker_removed(node_id, env.now)
             self.cluster.fail_vm(node_id, cause="elastic-remove")

@@ -154,9 +154,7 @@ def _mark_resident(logic: WorkerLogic, dataset: Dataset) -> None:
     """Pre-partitioned local: every input is already on the worker (the
     VM-image case), so it is marked resident and read in place."""
     for file in dataset:
-        logic.receive_file(file.name)
-        if file.path is not None:
-            logic.path_overrides[file.name] = file.path
+        logic.receive_file(file.name, path=file.path)
 
 
 @dataclass

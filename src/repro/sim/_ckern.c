@@ -646,11 +646,15 @@ process_interrupt(PyObject *op, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
-/* Finish the process event (generator returned or raised). Dropping the
- * cached bound _resume breaks the process -> resume -> process cycle, so a
- * finished process is freed by reference counting, not by the cyclic
- * collector. Dropped last: whoever is calling _resume holds a reference
- * to it, and the heap now holds one to the process. */
+/* Finish the process event (generator returned or raised). Then the
+ * generator is dropped, so whoever still holds the process (a VM's process
+ * list, a parent waiting on it) keeps only the event; it goes after the
+ * event is triggered, so any code a closing generator runs sees a finished
+ * process. Dropping the cached bound _resume breaks the
+ * process -> resume -> process cycle, so a finished process is freed by
+ * reference counting, not by the cyclic collector. Dropped last: whoever
+ * is calling _resume holds a reference to it, and the heap now holds one
+ * to the process. */
 static int
 process_finish(ProcessObject *self, EnvObject *env, PyObject *ok,
                PyObject *value_stolen)
@@ -659,6 +663,7 @@ process_finish(ProcessObject *self, EnvObject *env, PyObject *ok,
     Py_XSETREF(self->base.ok, Py_NewRef(ok));
     Py_XSETREF(self->base.value, value_stolen);
     int rc = env_schedule_internal(env, (PyObject *)self, NORMAL_PRIO, 0.0);
+    Py_CLEAR(self->generator);
     Py_CLEAR(self->resume);
     return rc;
 }
@@ -668,6 +673,10 @@ process_resume(PyObject *op, PyObject *event)
 {
     ProcessObject *self = (ProcessObject *)op;
     EnvObject *env = (EnvObject *)self->base.env;
+    if (self->generator == NULL) {
+        PyErr_Format(sim_error(), "process %R has already finished", self->name);
+        return NULL;
+    }
     Py_XSETREF(env->active, Py_NewRef(op));
 
     PyObject *current = Py_NewRef(event);

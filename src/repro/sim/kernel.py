@@ -237,26 +237,19 @@ class Process(Event):
                     event._defused = True
                     next_event = self.generator.throw(event._value)
             except StopIteration as stop:
-                self.env._active_process = None
-                self._ok = True
-                self._value = stop.value
-                self.env._schedule(self, NORMAL, 0.0)
+                self._finish(True, stop.value)
                 return
             except BaseException as exc:
-                self.env._active_process = None
-                self._ok = False
-                self._value = exc
-                self.env._schedule(self, NORMAL, 0.0)
+                self._finish(False, exc)
                 return
 
             if not isinstance(next_event, self._event_cls):
-                exc = SimulationError(
-                    f"process {self.name!r} yielded a non-event: {next_event!r}"
+                self._finish(
+                    False,
+                    SimulationError(
+                        f"process {self.name!r} yielded a non-event: {next_event!r}"
+                    ),
                 )
-                self.env._active_process = None
-                self._ok = False
-                self._value = exc
-                self.env._schedule(self, NORMAL, 0.0)
                 return
 
             if next_event.callbacks is not None:
@@ -268,6 +261,19 @@ class Process(Event):
                 return
             # Event already processed — feed its outcome straight back in.
             event = next_event
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """Trigger the process event with the coroutine's outcome.
+
+        Then the generator is dropped: whoever still holds the process
+        (a VM's process list, a parent waiting on it) keeps only the
+        event, not the generator and what it referenced.
+        """
+        self.env._active_process = None
+        self._ok = ok
+        self._value = value
+        self.env._schedule(self, NORMAL, 0.0)
+        self.generator = None
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"

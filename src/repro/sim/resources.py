@@ -17,10 +17,16 @@ with timeouts and conditions, e.g.::
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque
+from typing import AbstractSet, Any, Callable, Deque, Union
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Environment, Event
+
+#: A :class:`Resource` holds these shared empty containers until its first
+#: grant and its first wait: a wide cluster has one CPU resource per VM,
+#: and many of them are never asked for a slot.
+_NO_USERS: frozenset = frozenset()
+_NO_WAITERS: tuple = ()
 
 
 class Request(Event):
@@ -35,8 +41,7 @@ class Request(Event):
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        resource._queue.append(self)
-        resource._trigger_requests()
+        resource._admit(self)
 
     def cancel(self) -> None:
         """Withdraw an un-granted request from the queue."""
@@ -68,8 +73,8 @@ class Resource:
             raise SimulationError(f"Resource capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = int(capacity)
-        self._users: set[Request] = set()
-        self._queue: Deque[Request] = deque()
+        self._users: AbstractSet[Request] = _NO_USERS
+        self._queue: Union[Deque[Request], tuple] = _NO_WAITERS
 
     @property
     def count(self) -> int:
@@ -78,7 +83,8 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Number of requests still waiting."""
+        """Number of requests still waiting (the kernel property tests'
+        work-conservation oracle)."""
         return len(self._queue)
 
     def request(self) -> Request:
@@ -87,17 +93,34 @@ class Resource:
 
     def release(self, request: Request) -> None:
         """Return a previously granted slot."""
-        try:
-            self._users.remove(request)
-        except KeyError:
+        if request not in self._users:
             raise SimulationError("release() of a request that was never granted")
+        self._users.remove(request)
         self._trigger_requests()
+
+    def _admit(self, request: Request) -> None:
+        """Grant a new request now, or queue it behind the waiters.
+
+        A non-empty queue means every slot is taken (each release and
+        each grant drains the queue while slots are free), so a free
+        slot with nobody waiting is the only case that grants at once.
+        """
+        if not self._queue and len(self._users) < self.capacity:
+            self._grant(request)
+            return
+        if self._queue is _NO_WAITERS:
+            self._queue = deque()
+        self._queue.append(request)
+
+    def _grant(self, request: Request) -> None:
+        if self._users is _NO_USERS:
+            self._users = set()
+        self._users.add(request)
+        request.succeed()
 
     def _trigger_requests(self) -> None:
         while self._queue and len(self._users) < self.capacity:
-            request = self._queue.popleft()
-            self._users.add(request)
-            request.succeed()
+            self._grant(self._queue.popleft())
 
 
 class Container:

@@ -53,7 +53,9 @@ class TransferService:
         self.protocol = protocol
         self.retry_policy = retry_policy or TransferRetryPolicy.paper_faithful()
         self.fault_model = fault_model
-        self._backoff_rng = make_rng(seed, "transfer-backoff")
+        self._seed = seed
+        #: Built on the first backoff (see :meth:`transfer`).
+        self._backoff_rng = None
         self.telemetry = telemetry
         metrics = telemetry.metrics if telemetry is not None else NULL_METRICS
         self._m_count = metrics.counter("transfer.count")
@@ -135,6 +137,8 @@ class TransferService:
             if ok or attempt >= policy.max_attempts:
                 break
             self._m_retries.inc()
+            if self._backoff_rng is None:
+                self._backoff_rng = make_rng(self._seed, "transfer-backoff")
             delay = policy.backoff_s(attempt, self._backoff_rng)
             if delay > 0:
                 yield self.env.timeout(delay)

@@ -49,11 +49,6 @@ class TestProvisioning:
             times.append(env.now)
         assert times[0] == times[1]
 
-    def test_total_cores(self):
-        env = Environment()
-        cluster = Provisioner(env).provision_now(ClusterSpec(num_workers=4))
-        assert cluster.total_cores == 5 * 4  # master + 4 workers, 4 cores each
-
     def test_local_disks_created(self):
         env = Environment()
         cluster = Provisioner(env).provision_now(ClusterSpec(num_workers=1))
@@ -138,8 +133,12 @@ class TestFailureHook:
         assert not vm.is_running
         assert vm.local_disk.used_bytes == 0
 
-    def test_running_workers_excludes_failed(self):
+    def test_fail_vm_counts_a_vm_once(self):
         env = Environment()
         cluster = Provisioner(env).provision_now(ClusterSpec(num_workers=2))
         cluster.fail_vm("worker1")
-        assert [vm.vm_id for vm in cluster.running_workers()] == ["worker2"]
+        cluster.fail_vm("worker1", cause="again")
+        failures = cluster.telemetry.metrics.counter("cluster.vm_failures")
+        assert failures.value == 1
+        assert cluster.vm("worker1").is_gone
+        assert not cluster.vm("worker2").is_gone

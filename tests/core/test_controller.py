@@ -66,9 +66,9 @@ class TestWorkerPlanning:
     def test_multicore_clones_per_core(self, controller):
         plans = controller.plan_workers([("n0", 4), ("n1", 2)])
         assert [p.clones for p in plans] == [4, 2]
-        assert controller.all_worker_ids == (
+        assert [w for p in plans for w in p.worker_ids] == [
             "n0:0", "n0:1", "n0:2", "n0:3", "n1:0", "n1:1",
-        )
+        ]
 
     def test_single_clone_without_multicore(self):
         controller = ControllerLogic(multicore=False)

@@ -23,7 +23,7 @@ class TestDataTracking:
         assert logic.resolve_path("x.dat") == "/scratch/x.dat"
 
     def test_resolve_path_override_wins(self, logic):
-        logic.path_overrides["x.dat"] = "/data/orig/x.dat"
+        logic.receive_file("x.dat", path="/data/orig/x.dat")
         assert logic.resolve_path("x.dat") == "/data/orig/x.dat"
 
     def test_resolve_without_scratch(self):

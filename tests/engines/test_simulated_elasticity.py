@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud.cluster import ClusterSpec
+from repro.cloud.failures import FailureSchedule
 from repro.cloud.instance import M1_SMALL
 from repro.core.strategies import StrategyKind
 from repro.data.files import DataFile, synthetic_dataset
@@ -103,6 +104,38 @@ class TestScaleIn:
             workers=2,
             elasticity=[ElasticAction(time=5.0, action="remove", node_id="worker1")],
         )
+        assert outcome.tasks_completed + outcome.tasks_lost == outcome.tasks_total
+
+    @staticmethod
+    def _removal_log(outcome):
+        return [
+            (e.kind, e.detail)
+            for e in outcome.controller_events
+            if e.kind in ("WORKER_REMOVED", "ELASTIC_REMOVE_IGNORED")
+        ]
+
+    def test_second_remove_of_a_node_is_ignored(self):
+        outcome = run(
+            workers=3,
+            elasticity=[
+                ElasticAction(time=5.0, action="remove", node_id="worker2"),
+                ElasticAction(time=9.0, action="remove", node_id="worker2"),
+            ],
+        )
+        assert self._removal_log(outcome) == [
+            ("WORKER_REMOVED", "worker2"),
+            ("ELASTIC_REMOVE_IGNORED", "worker2"),
+        ]
+        assert outcome.extra["metrics"]["counters"]["cluster.vm_failures"] == 1
+
+    def test_remove_after_a_crash_is_ignored(self):
+        outcome = run(
+            workers=3,
+            failure_schedule=FailureSchedule.of((4.0, "worker2")),
+            elasticity=[ElasticAction(time=9.0, action="remove", node_id="worker2")],
+        )
+        assert self._removal_log(outcome) == [("ELASTIC_REMOVE_IGNORED", "worker2")]
+        assert outcome.extra["metrics"]["counters"]["cluster.vm_failures"] == 1
         assert outcome.tasks_completed + outcome.tasks_lost == outcome.tasks_total
 
 
