@@ -6,9 +6,10 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# The exporter's format contract: trace-event schema + golden bytes.
+# The exporter's format contract (trace-event schema + golden bytes) and
+# the span/event log's storage contract beneath it.
 schema-check:
-	$(PYTHON) -m pytest tests/telemetry/test_export.py -x -q
+	$(PYTHON) -m pytest tests/telemetry/test_export.py tests/telemetry/test_recordlog.py -x -q
 
 # frieda-lint (custom AST invariant checker) + ruff (style/pyflakes).
 # ruff is pinned in the `test` extra; when it is not installed (minimal

@@ -1154,14 +1154,9 @@ class _SimulatedRun:
     # -- outcome ---------------------------------------------------------------
     def _span_unions(self) -> dict[str, float]:
         """Union time per Fig 6 span key over this run's span log slice."""
-        intervals: dict[str, list[tuple[float, float]]] = {
-            key: [] for key in ("transfer", "exec", "staging")
-        }
-        # Raw rows in SpanRecord field order: (id, parent, key, start, end, ...).
-        for row in self.telemetry.spans.rows(self._first_span):
-            bucket = intervals.get(row[2])
-            if bucket is not None:
-                bucket.append((row[3], row[4]))
+        intervals = self.telemetry.spans.intervals(
+            ("transfer", "exec", "staging"), self._first_span
+        )
         return {key: union_time(pairs) for key, pairs in intervals.items()}
 
     def outcome(self) -> RunOutcome:

@@ -65,38 +65,38 @@ def chrome_trace(telemetry: Telemetry) -> dict[str, Any]:
             )
         return pid, tid
 
-    for span in telemetry.spans:
-        pid, tid = tid_for(span.run, span.track)
-        args: dict[str, Any] = dict(span.tags)
-        args["span_id"] = span.span_id
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
+    for span_id, parent_id, key, start, end, tags, track, run in telemetry.spans.rows():
+        pid, tid = tid_for(run, track)
+        args: dict[str, Any] = dict(tags)
+        args["span_id"] = span_id
+        if parent_id is not None:
+            args["parent_id"] = parent_id
         events.append(
             {
                 "ph": "X",
-                "name": span.key,
+                "name": key,
                 "cat": "span",
                 "pid": pid,
                 "tid": tid,
-                "ts": _ts(span.start),
-                "dur": _ts(span.duration),
+                "ts": _ts(start),
+                "dur": _ts(end - start),
                 "args": args,
             }
         )
-    for ev in telemetry.events:
-        pid, tid = tid_for(ev.run, ev.track)
-        args = dict(ev.tags)
-        if ev.value is not None:
-            args["value"] = ev.value
+    for _event_id, key, time, value, tags, track, run in telemetry.events.rows():
+        pid, tid = tid_for(run, track)
+        args = dict(tags)
+        if value is not None:
+            args["value"] = value
         events.append(
             {
                 "ph": "i",
-                "name": ev.key,
+                "name": key,
                 "cat": "event",
                 "s": "t",
                 "pid": pid,
                 "tid": tid,
-                "ts": _ts(ev.time),
+                "ts": _ts(time),
                 "args": args,
             }
         )

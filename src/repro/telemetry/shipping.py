@@ -49,8 +49,8 @@ def _tags_to_wire(tags: tuple[tuple[str, Any], ...]) -> list[list[Any]]:
     return [[k, v] for k, v in tags]
 
 
-def _tags_from_wire(tags: list[list[Any]]) -> tuple[tuple[str, Any], ...]:
-    return tuple((str(k), v) for k, v in tags)
+def _tags_from_wire(tags: list[list[Any]]) -> dict[str, Any]:
+    return {str(k): v for k, v in tags}
 
 
 class TelemetryShipper:
@@ -100,8 +100,8 @@ class TelemetryShipper:
     def take_batch(self) -> dict[str, Any] | None:
         """Return everything recorded since the last cut, or ``None``."""
         tel = self._tel
-        spans = tel.spans[self._span_cursor : len(tel.spans)]
-        events = tel.events[self._event_cursor : len(tel.events)]
+        spans = list(tel.spans.rows(self._span_cursor))
+        events = list(tel.events.rows(self._event_cursor))
         self._span_cursor += len(spans)
         self._event_cursor += len(events)
         counters, gauges, hists = self._metric_deltas()
@@ -112,20 +112,12 @@ class TelemetryShipper:
             "v": BATCH_VERSION,
             "seq": self.seq,
             "spans": [
-                [
-                    s.span_id,
-                    s.parent_id,
-                    s.key,
-                    s.start,
-                    s.end,
-                    _tags_to_wire(s.tags),
-                    s.track,
-                ]
-                for s in spans
+                [span_id, parent_id, key, start, end, _tags_to_wire(tags), track]
+                for span_id, parent_id, key, start, end, tags, track, _run in spans
             ],
             "events": [
-                [e.key, e.time, e.value, _tags_to_wire(e.tags), e.track]
-                for e in events
+                [key, time, value, _tags_to_wire(tags), track]
+                for _event_id, key, time, value, tags, track, _run in events
             ],
             "counters": counters,
             "gauges": gauges,
@@ -228,6 +220,8 @@ class TelemetryMerger:
     """
 
     def __init__(self, telemetry: Telemetry) -> None:
+        if not telemetry.record:
+            raise ValueError("TelemetryMerger needs a recording hub")
         self._tel = telemetry
         self._batches: dict[str, dict[int, dict[str, Any]]] = {}
         self.aligner = ClockAligner(metrics=telemetry.metrics)
@@ -293,19 +287,16 @@ class TelemetryMerger:
                 worker=worker_id,
             )
             for batch in batches:
-                for row in batch["spans"]:
-                    span_id, parent_id, key, start, end, tags, track = row
-                    tel._emit_span(
-                        (
-                            id_map[int(span_id)],
-                            id_map.get(parent_id) if parent_id is not None else None,
-                            key,
-                            float(start) + offset,
-                            float(end) + offset,
-                            _tags_from_wire(tags),
-                            track,
-                            tel.run,
-                        )
+                for span_id, parent_id, key, start, end, tags, track in batch["spans"]:
+                    tel.spans.add_span(
+                        id_map[int(span_id)],
+                        id_map.get(parent_id) if parent_id is not None else None,
+                        key,
+                        float(start) + offset,
+                        float(end) + offset,
+                        _tags_from_wire(tags),
+                        track,
+                        tel.run,
                     )
                 for key, time, value, tags, track in batch["events"]:
                     tel.event(
@@ -313,7 +304,7 @@ class TelemetryMerger:
                         value,
                         time=float(time) + offset,
                         track=track,
-                        **dict(_tags_from_wire(tags)),
+                        **_tags_from_wire(tags),
                     )
                 self._merge_metrics(batch)
         self._batches.clear()

@@ -20,14 +20,18 @@ Design constraints, in order:
 
 The hub is plane-agnostic: the simulated engine binds ``env.now``, the
 threaded runtime binds a wall clock.  Emission (`span_complete`,
-`event`, `end_span`) is safe from worker threads — it only draws from
-an atomic counter and appends to lists — but aggregate metrics are
-not; the threaded runtime increments those under its scheduler lock.
+`event`, `end_span`) is safe from worker threads: ids come from an
+atomic counter, and each log writes a row's columns under its own lock,
+so a thread switch between two column appends cannot interleave rows.
+Aggregate metrics are not thread-safe; the threaded runtime increments
+those under its scheduler lock.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -65,84 +69,299 @@ class EventRecord:
     run: str
 
 
-class RecordLog:
-    """Slab-backed append log of span/event records.
+#: The parent column's stand-in for ``None``; an id column holds any
+#: other int64.
+_NO_PARENT = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
 
-    Rows land in a preallocated fixed-size slab (a block of ``SLAB``
-    slots filled left to right); a full slab is flushed wholesale onto
-    the block list and a fresh one is preallocated.  Rows are plain
-    field tuples — the frozen dataclass record is only materialized
-    when someone *reads* the log (export, assertions), so the hot
-    emission path never pays dataclass ``__init__`` for records nobody
-    looks at until the run ends.  Reads present the log as an ordinary
-    sequence of records, equal to the list it replaces.
+
+class RecordLog:
+    """Columnar append log of span or event records.
+
+    One row per record, stored as columns in blocks of ``SLAB`` rows:
+    ids and parents in ``array('q')`` (``None`` as :data:`_NO_PARENT`),
+    times in ``array('d')``, key/track/run as indices into one interned
+    string table, and tags as an index into an interned table of sorted
+    tag-name tuples with the values in one flat list per block (an
+    event's value first).  A tag-name tuple is sorted once per call-site
+    name order, not once per record.  A time that is not a ``float``,
+    or an id that is not an int64, keeps its column slot as a stand-in
+    and its own value in a per-row side table, so every value reads back
+    with its own type.
+
+    Reads present the log as an ordinary sequence of frozen records
+    (``SpanRecord`` or ``EventRecord``, per ``factory``), equal to the
+    list it replaces; :meth:`rows` yields the same fields as plain
+    tuples without building a record.  Appends hold ``_lock`` for the
+    whole row, so rows stay whole when threads emit into one log.
     """
 
-    __slots__ = ("_factory", "_blocks", "_slab", "_fill")
+    __slots__ = (
+        "_span", "_factory", "_lock", "_blocks", "_len",
+        "_strings", "_string_ids", "_shapes", "_shape_ids", "_odd",
+    )
 
-    #: Rows per slab.  Power of two, sized so a slab is a few KiB of
-    #: pointers — big enough to amortize allocation, small enough that
-    #: an idle hub wastes almost nothing.
+    #: Rows per block.  Blocks bound how much a column over-allocates
+    #: and keep a tag value's offset within 32 bits.
     SLAB = 1024
 
     def __init__(self, factory: Callable[..., Any]) -> None:
         self._factory = factory
-        self._blocks: list[list[Any]] = []
-        self._slab: list[Any] = [None] * self.SLAB
-        self._fill = 0
+        self._span = factory is SpanRecord
+        self._lock = threading.Lock()  # frieda: allow[transitive-real-io] -- a mutex, not I/O: keeps each row whole when threads emit
+        self._blocks: list[tuple] = []
+        self._len = 0
+        self._strings: list[str] = []
+        self._string_ids: dict[str, int] = {}
+        #: Sorted tag-name tuples, and the index and sorted order (None
+        #: when already sorted) of every tag-name tuple seen so far.
+        self._shapes: list[tuple[str, ...]] = []
+        self._shape_ids: dict[tuple[str, ...], tuple[int, tuple[str, ...] | None]] = {}
+        #: Row index -> {field position: value} for values whose column
+        #: slot holds a stand-in.
+        self._odd: dict[int, dict[int, Any]] = {}
 
-    def _append_fields(self, fields: tuple) -> None:
-        slab = self._slab
-        fill = self._fill
-        slab[fill] = fields
-        fill += 1
-        if fill == self.SLAB:
-            self._blocks.append(slab)
-            self._slab = [None] * self.SLAB
-            self._fill = 0
+    # -- writing ------------------------------------------------------------
+
+    def add_span(
+        self,
+        span_id: int,
+        parent_id: int | None,
+        key: str,
+        start: float,
+        end: float,
+        tags: dict[str, Any],
+        track: str,
+        run: str,
+    ) -> None:
+        """Append one finished span; ``tags`` maps tag name to value."""
+        with self._lock:
+            n = self._len
+            if n % self.SLAB == 0:
+                self._open_block()
+            ids, parents, starts, ends, keys, tracks, runs, shapes, heads, values = self._blocks[-1]
+            if not (
+                type(start) is float is type(end)
+                and type(span_id) is int
+                and _NO_PARENT < span_id <= _INT64_MAX
+                and (
+                    parent_id is None
+                    or (type(parent_id) is int and _NO_PARENT < parent_id <= _INT64_MAX)
+                )
+            ):
+                span_id, parent_id, start, end = self._stand_ins(
+                    n, (0, span_id, "id"), (1, parent_id, "parent"),
+                    (3, start, "time"), (4, end, "time"),
+                )
+            ids.append(span_id)
+            parents.append(_NO_PARENT if parent_id is None else parent_id)
+            starts.append(start)
+            ends.append(end)
+            sid = self._string_ids
+            keys.append(sid[key] if key in sid else self._intern(key))
+            tracks.append(sid[track] if track in sid else self._intern(track))
+            runs.append(sid[run] if run in sid else self._intern(run))
+            heads.append(len(values))
+            self._add_tags(shapes, values, tags)
+            self._len = n + 1
+
+    def add_event(
+        self,
+        event_id: int,
+        key: str,
+        time: float,
+        value: Any,
+        tags: dict[str, Any],
+        track: str,
+        run: str,
+    ) -> None:
+        """Append one instant event; ``tags`` maps tag name to value."""
+        with self._lock:
+            n = self._len
+            if n % self.SLAB == 0:
+                self._open_block()
+            ids, times, keys, tracks, runs, shapes, heads, values = self._blocks[-1]
+            if not (
+                type(time) is float
+                and type(event_id) is int
+                and _NO_PARENT < event_id <= _INT64_MAX
+            ):
+                event_id, time = self._stand_ins(n, (0, event_id, "id"), (2, time, "time"))
+            ids.append(event_id)
+            times.append(time)
+            sid = self._string_ids
+            keys.append(sid[key] if key in sid else self._intern(key))
+            tracks.append(sid[track] if track in sid else self._intern(track))
+            runs.append(sid[run] if run in sid else self._intern(run))
+            heads.append(len(values))
+            values.append(value)
+            self._add_tags(shapes, values, tags)
+            self._len = n + 1
+
+    def _open_block(self) -> None:
+        if self._span:
+            cols = (
+                array("q"), array("q"), array("d"), array("d"),
+                array("I"), array("I"), array("I"), array("I"), array("I"), [],
+            )
         else:
-            self._fill = fill
+            cols = (
+                array("q"), array("d"),
+                array("I"), array("I"), array("I"), array("I"), array("I"), [],
+            )
+        self._blocks.append(cols)
+
+    def _intern(self, text: str) -> int:
+        """Add a string not yet in the table; return its index."""
+        index = self._string_ids[text] = len(self._strings)
+        self._strings.append(text)
+        return index
+
+    def _add_tags(self, shapes: array, values: list, tags: dict[str, Any]) -> None:
+        names = tuple(tags)
+        shape = self._shape_ids.get(names)
+        if shape is None:
+            shape = self._new_shape(names)
+        index, order = shape
+        shapes.append(index)
+        values.extend(tags.values() if order is None else [tags[name] for name in order])
+
+    def _new_shape(self, names: tuple[str, ...]) -> tuple[int, tuple[str, ...] | None]:
+        order = tuple(sorted(names))
+        known = self._shape_ids.get(order)
+        if known is None:
+            known = self._shape_ids[order] = (len(self._shapes), None)
+            self._shapes.append(order)
+        self._shape_ids[names] = shape = (known[0], None if order == names else order)
+        return shape
+
+    def _stand_ins(self, n: int, *fields: tuple[int, Any, str]) -> list:
+        """Column values for row ``n``.  A value the column would not
+        return as given (an int or bool time, an id beyond int64) gets a
+        stand-in and is kept for reads under its field position; ``kind``
+        is ``"time"``, ``"id"`` or ``"parent"`` (an id that may be None)."""
+        out = []
+        kept = {}
+        for position, value, kind in fields:
+            if kind == "time":
+                if type(value) is not float:
+                    kept[position] = value
+                    try:
+                        value = float(value)
+                    except (TypeError, ValueError):
+                        value = float("nan")
+            elif not (
+                (value is None and kind == "parent")
+                or (type(value) is int and _NO_PARENT < value <= _INT64_MAX)
+            ):
+                kept[position] = value
+                value = 0
+            out.append(value)
+        if kept:
+            self._odd[n] = kept
+        return out
+
+    # -- reading ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._blocks) * self.SLAB + self._fill
+        return self._len
+
+    def __bool__(self) -> bool:
+        return self._len > 0
+
+    def _slices(self, start: int, stop: int) -> Iterator[tuple[tuple, int, int, int]]:
+        """``(block columns, first slot, end slot, row index of slot 0)``
+        covering rows ``[start, stop)``."""
+        slab = self.SLAB
+        for block in range(start // slab, -(-stop // slab)):
+            base = block * slab
+            yield self._blocks[block], max(start - base, 0), min(stop - base, slab), base
+
+    def _rows(self, start: int, stop: int) -> Iterator[tuple]:
+        strings = self._strings
+        shape_names = self._shapes
+        odd = self._odd
+        for cols, lo, hi, base in self._slices(start, stop):
+            if self._span:
+                ids, parents, starts, ends, keys, tracks, runs, shapes, heads, values = cols
+                for slot in range(lo, hi):
+                    names = shape_names[shapes[slot]]
+                    head = heads[slot]
+                    parent = parents[slot]
+                    row = (
+                        ids[slot],
+                        None if parent == _NO_PARENT else parent,
+                        strings[keys[slot]],
+                        starts[slot],
+                        ends[slot],
+                        tuple(zip(names, values[head : head + len(names)])),
+                        strings[tracks[slot]],
+                        strings[runs[slot]],
+                    )
+                    if odd and base + slot in odd:
+                        row = _patched(row, odd[base + slot])
+                    yield row
+            else:
+                ids, times, keys, tracks, runs, shapes, heads, values = cols
+                for slot in range(lo, hi):
+                    names = shape_names[shapes[slot]]
+                    head = heads[slot] + 1
+                    row = (
+                        ids[slot],
+                        strings[keys[slot]],
+                        times[slot],
+                        values[head - 1],
+                        tuple(zip(names, values[head : head + len(names)])),
+                        strings[tracks[slot]],
+                        strings[runs[slot]],
+                    )
+                    if odd and base + slot in odd:
+                        row = _patched(row, odd[base + slot])
+                    yield row
 
     def rows(self, start: int = 0) -> Iterator[tuple]:
-        """Raw field tuples from index ``start`` on, no record built."""
-        first, skip = divmod(start, self.SLAB)
-        blocks = [*self._blocks[first:], self._slab[: self._fill]]
-        blocks[0] = blocks[0][skip:]
-        return itertools.chain.from_iterable(blocks)
+        """Field tuples (record field order) of the rows from index
+        ``start`` up to the length at the call, no record built."""
+        return self._rows(start, self._len)
 
-    def _row(self, index: int) -> tuple:
-        block, slot = divmod(index, self.SLAB)
-        if block < len(self._blocks):
-            return self._blocks[block][slot]
-        return self._slab[slot]
+    def intervals(self, keys: tuple[str, ...], start: int = 0) -> dict[str, list[tuple[float, float]]]:
+        """``(start, end)`` per span key in ``keys`` over the span rows
+        from index ``start`` on, read from the key and time columns
+        alone.  Times are the columns' floats: an int time reads as the
+        equal float."""
+        out: dict[str, list[tuple[float, float]]] = {key: [] for key in keys}
+        wanted = {
+            self._string_ids[key]: pairs
+            for key, pairs in out.items()
+            if key in self._string_ids
+        }
+        if wanted:
+            for cols, lo, hi, _base in self._slices(start, self._len):
+                _ids, _parents, starts, ends, names = cols[:5]
+                for name, begin, end in zip(names[lo:hi], starts[lo:hi], ends[lo:hi]):
+                    pairs = wanted.get(name)
+                    if pairs is not None:
+                        pairs.append((begin, end))
+        return out
 
     def __getitem__(self, index):
-        size = len(self)
+        size = self._len
+        factory = self._factory
         if isinstance(index, slice):
-            factory = self._factory
-            return [
-                factory(*self._row(i)) for i in range(*index.indices(size))
-            ]
+            start, stop, step = index.indices(size)
+            if step == 1:
+                return [factory(*row) for row in self._rows(start, max(start, stop))]
+            return [factory(*next(self._rows(i, i + 1))) for i in range(start, stop, step)]
         if index < 0:
             index += size
         if not 0 <= index < size:
             raise IndexError("record log index out of range")
-        return self._factory(*self._row(index))
+        return factory(*next(self._rows(index, index + 1)))
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[Any]:
         factory = self._factory
-        for block in self._blocks:
-            for fields in block:
-                yield factory(*fields)
-        slab = self._slab
-        for i in range(self._fill):
-            yield factory(*slab[i])
-
-    def __bool__(self) -> bool:
-        return bool(self._blocks) or self._fill > 0
+        for row in self._rows(0, self._len):
+            yield factory(*row)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RecordLog):
@@ -157,6 +376,13 @@ class RecordLog:
 
     def __repr__(self) -> str:
         return f"RecordLog({list(self)!r})"
+
+
+def _patched(row: tuple, kept: dict[int, Any]) -> tuple:
+    fields = list(row)
+    for position, value in kept.items():
+        fields[position] = value
+    return tuple(fields)
 
 
 class SpanHandle:
@@ -271,20 +497,20 @@ class Telemetry:
         if handle._ended:
             return
         handle._ended = True
+        if not self.record:
+            return
         tags = handle._tags
         if extra_tags:
             tags = {**tags, **extra_tags}
-        self._emit_span(
-            (
-                handle.span_id,
-                handle.parent_id,
-                handle.key,
-                handle.start,
-                self.clock(),
-                tuple(sorted(tags.items())),
-                handle.track,
-                self.run,
-            )
+        self.spans.add_span(
+            handle.span_id,
+            handle.parent_id,
+            handle.key,
+            handle.start,
+            self.clock(),
+            tags,
+            handle.track,
+            self.run,
         )
 
     def span_complete(
@@ -296,21 +522,16 @@ class Telemetry:
         parent: SpanHandle | SpanRecord | int | None = None,
         track: str = "",
         **tags: Any,
-    ) -> SpanRecord:
+    ) -> int:
         """Record a span whose start/end the caller already measured
-        (flow retirement, completed transfers)."""
-        fields = (
-            next(self._ids),
-            _parent_id(parent),
-            key,
-            start,
-            end,
-            tuple(sorted(tags.items())),
-            track,
-            self.run,
-        )
-        self._emit_span(fields)
-        return SpanRecord(*fields)
+        (flow retirement, completed transfers).  Returns its span id,
+        which ``parent=`` accepts."""
+        span_id = next(self._ids)
+        if self.record:
+            self.spans.add_span(
+                span_id, _parent_id(parent), key, start, end, tags, track, self.run
+            )
+        return span_id
 
     def event(
         self,
@@ -322,24 +543,16 @@ class Telemetry:
         **tags: Any,
     ) -> None:
         """Record an instant event."""
-        fields = (
-            next(self._ids),
-            key,
-            self.clock() if time is None else time,
-            value,
-            tuple(sorted(tags.items())),
-            track,
-            self.run,
-        )
         if self.record:
-            self.events._append_fields(fields)
-
-    # -- internals ----------------------------------------------------------
-
-    def _emit_span(self, fields: tuple) -> None:
-        """Record one finished span, given its raw field tuple."""
-        if self.record:
-            self.spans._append_fields(fields)
+            self.events.add_event(
+                next(self._ids),
+                key,
+                self.clock() if time is None else time,
+                value,
+                tags,
+                track,
+                self.run,
+            )
 
 
 class _NullSpanHandle(SpanHandle):

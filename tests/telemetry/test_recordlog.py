@@ -1,12 +1,17 @@
-"""RecordLog slab mechanics: the list it replaces, byte for byte.
+"""RecordLog's storage contract: the list of records it replaces.
 
-``Telemetry.spans``/``.events`` switched from plain lists to slab logs;
-everything that used to index, slice, iterate, or compare those lists
-still must.  The slab size is shrunk here so a handful of records
-crosses multiple flush boundaries.
+``Telemetry.spans``/``.events`` store rows as columns (ids, parents and
+times in arrays, names interned, tag values in one flat list per
+block); everything that used to index, slice, iterate, or compare the
+plain lists of records still must, and every value must read back with
+its own type.  The block size is shrunk here so a handful of records
+crosses several block boundaries.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -17,15 +22,62 @@ class TinySlabLog(RecordLog):
     SLAB = 4
 
 
+#: Tag values of several types, cycled over the rows.
+_VALUES = [7, 2.5, "w3", True, None, (1, 2), -1, 10**30]
+
+
+def _tags(i: int) -> dict:
+    """Call-site order, not sorted; the tag set varies with the row."""
+    tags = {"worker": f"w{i % 3}", "task": _VALUES[i % len(_VALUES)]}
+    if i % 2:
+        tags["attempt"] = i
+    if i % 5 == 4:
+        tags = {}
+    return tags
+
+
 def _fields(i: int) -> tuple:
-    return (i, None, f"k{i}", float(i), float(i) + 0.5, (), "t", "run")
+    """A span row: int times on odd rows, a None parent every third."""
+    start = i if i % 2 else float(i)
+    end = start + (1 if i % 2 else 0.5)
+    parent = None if i % 3 == 0 else i - 1
+    return (
+        i + 1, parent, f"k{i % 3}", start, end,
+        tuple(sorted(_tags(i).items())), f"worker:w{i % 3}", "run",
+    )
 
 
-def _log(n: int) -> TinySlabLog:
+def _event_fields(i: int) -> tuple:
+    time = i if i % 2 else i + 0.25
+    value = _VALUES[(i + 3) % len(_VALUES)]
+    return (
+        i + 1, f"ev{i % 2}", time, value,
+        tuple(sorted(_tags(i).items())), "control", f"run{i // 6}",
+    )
+
+
+def _log(n: int, fields=_fields) -> TinySlabLog:
     log = TinySlabLog(SpanRecord)
     for i in range(n):
-        log._append_fields(_fields(i))
+        span_id, parent, key, start, end, _sorted, track, run = fields(i)
+        log.add_span(span_id, parent, key, start, end, _tags(i), track, run)
     return log
+
+
+def _event_log(n: int) -> TinySlabLog:
+    log = TinySlabLog(EventRecord)
+    for i in range(n):
+        event_id, key, time, value, _sorted, track, run = _event_fields(i)
+        log.add_event(event_id, key, time, value, _tags(i), track, run)
+    return log
+
+
+def _typed(records) -> list:
+    """Records with each field's type, so 0 != 0.0 and 1 != True."""
+    return [
+        tuple((type(v), v) for v in (*record.__dict__.values(),))
+        for record in records
+    ]
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 8, 11])
@@ -34,6 +86,7 @@ def test_len_iter_match_list_semantics_across_flushes(n):
     expected = [SpanRecord(*_fields(i)) for i in range(n)]
     assert len(log) == n
     assert list(log) == expected
+    assert _typed(log) == _typed(expected)
     assert log == expected
     assert bool(log) == bool(expected)
 
@@ -42,12 +95,16 @@ def test_getitem_int_negative_and_slice():
     log = _log(11)
     expected = [SpanRecord(*_fields(i)) for i in range(11)]
     assert log[0] == expected[0]
-    assert log[4] == expected[4]  # first row of second slab
+    assert log[4] == expected[4]  # first row of second block
     assert log[-1] == expected[-1]
     assert log[-11] == expected[0]
     assert log[2:9] == expected[2:9]
+    assert log[3:100] == expected[3:100]
+    assert log[9:2] == expected[9:2] == []
+    assert log[-5:-1] == expected[-5:-1]
     assert log[::-1] == expected[::-1]
     assert log[::3] == expected[::3]
+    assert _typed(log[1:6]) == _typed(expected[1:6])
     with pytest.raises(IndexError):
         log[11]
     with pytest.raises(IndexError):
@@ -58,15 +115,14 @@ def test_eq_against_log_tuple_and_mismatch():
     assert _log(6) == _log(6)
     assert _log(6) == tuple(SpanRecord(*_fields(i)) for i in range(6))
     assert _log(6) != _log(5)
-    other = _log(6)
-    other._slab[other._fill - 1] = _fields(99)
-    assert _log(6) != other
+    changed = _log(6, lambda i: _fields(99) if i == 5 else _fields(i))
+    assert _log(6) != changed
     assert _log(0) == []
 
 
 def test_records_materialize_lazily_and_fresh_each_read():
     log = _log(1)
-    assert log[0] is not log[0]  # rows are tuples; dataclass built per read
+    assert log[0] is not log[0]  # rows are columns; a record is built per read
     assert log[0] == next(iter(log))
 
 
@@ -87,4 +143,91 @@ def test_telemetry_hub_round_trip_through_slabs(monkeypatch):
 def test_rows_from_every_offset_are_the_raw_fields(n):
     log = _log(n)
     for start in range(n + 1):
-        assert list(log.rows(start)) == [_fields(i) for i in range(start, n)]
+        rows = list(log.rows(start))
+        assert rows == [_fields(i) for i in range(start, n)]
+        assert [[type(v) for v in row] for row in rows] == [
+            [type(v) for v in _fields(i)] for i in range(start, n)
+        ]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7, 13])
+def test_event_log_matches_plain_list(n):
+    log = _event_log(n)
+    expected = [EventRecord(*_event_fields(i)) for i in range(n)]
+    assert len(log) == n and bool(log) == bool(expected)
+    assert log == expected
+    assert _typed(log) == _typed(expected)
+    assert _typed(log[::-1]) == _typed(expected[::-1])
+    for start in range(n + 1):
+        assert list(log.rows(start)) == [_event_fields(i) for i in range(start, n)]
+
+
+def test_values_that_a_column_cannot_hold_read_back_as_given():
+    log = TinySlabLog(SpanRecord)
+    odd = [
+        (1, 0, "a", 0, 1, {}, "t", "r"),  # parent 0, int times
+        (True, False, "b", 0.0, True, {}, "t", "r"),  # bools
+        (2**70, -(2**63), "c", 1.5, 2.5, {}, "t", "r"),  # beyond int64
+        (3, None, "d", float("inf"), -0.0, {"x": None}, "", ""),
+    ]
+    for fields in odd:
+        log.add_span(*fields)
+    for record, fields in zip(log, odd):
+        span_id, parent, key, start, end, tags, track, run = fields
+        got = (record.span_id, record.parent_id, record.start, record.end)
+        assert [(type(v), v) for v in got] == [
+            (type(v), v) for v in (span_id, parent, start, end)
+        ]
+    assert str(log[3].end) == "-0.0"
+    assert log[3].tags == (("x", None),)
+
+
+def test_tag_order_is_sorted_whatever_the_call_site_order():
+    log = TinySlabLog(SpanRecord)
+    log.add_span(1, None, "k", 0.0, 1.0, {"b": 1, "a": 2, "c": 3}, "t", "r")
+    log.add_span(2, None, "k", 0.0, 1.0, {"c": 3, "a": 2, "b": 1}, "t", "r")
+    log.add_span(3, None, "k", 0.0, 1.0, {"a": 2, "b": 1, "c": 3}, "t", "r")
+    assert {record.tags for record in log} == {(("a", 2), ("b", 1), ("c", 3))}
+
+
+def test_intervals_read_back_each_keys_start_and_end():
+    log = _log(11)
+    for start in (0, 3, 4, 10, 11):
+        wanted = ("k0", "k2", "missing")
+        expected = {key: [] for key in wanted}
+        for row in log.rows(start):
+            if row[2] in expected:
+                expected[row[2]].append((float(row[3]), float(row[4])))
+        assert log.intervals(wanted, start) == expected
+
+
+def test_threads_emitting_into_one_hub_keep_rows_whole():
+    """Rows are written column by column; a thread switch inside one
+    row must not interleave another thread's row into it."""
+    threads_n, calls = 4, 50_000
+    hub = Telemetry(record=True)
+
+    def emit(t: int) -> None:
+        track = f"worker:{t}"
+        for i in range(calls):
+            if i % 2:
+                hub.span_complete("op", 0.0, 1.0, track=track, thread=t, i=i)
+            else:
+                hub.span("op", track=track, thread=t).end(i=i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=emit, args=(t,)) for t in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    rows = list(hub.spans.rows())
+    assert len(rows) == threads_n * calls
+    assert len({row[0] for row in rows}) == len(rows)
+    torn = [row for row in rows if row[6] != f"worker:{dict(row[5])['thread']}"]
+    assert not torn, torn[:3]

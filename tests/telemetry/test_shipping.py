@@ -172,6 +172,10 @@ class TestClockAligner:
 
 
 class TestMerger:
+    def test_requires_recording_hub(self):
+        with pytest.raises(ValueError):
+            TelemetryMerger(Telemetry(record=False))
+
     def ship_one(self, *, offset_pairs=(), task=1, t0=0.0):
         """One worker hub with one task span tree, shipped as batches."""
         wtel, state = make_hub(t0)

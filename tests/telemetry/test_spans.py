@@ -2,7 +2,6 @@
 
 from repro.telemetry import (
     NULL_TELEMETRY,
-    SpanRecord,
     Telemetry,
 )
 
@@ -45,10 +44,12 @@ class TestSpanLifecycle:
         tel = Telemetry(FakeClock(), record=True)
         root = tel.span("run")
         child = tel.span_complete("task", 0.0, 1.0, parent=root)
-        assert isinstance(child, SpanRecord)
-        assert child.parent_id == root.span_id
         grandchild = tel.span_complete("exec", 0.0, 0.5, parent=child)
-        assert grandchild.parent_id == child.span_id
+        by_record = tel.span_complete("report", 0.5, 1.0, parent=tel.spans[0])
+        task, exec_, report = tel.spans
+        assert task.span_id == child and task.parent_id == root.span_id
+        assert exec_.span_id == grandchild and exec_.parent_id == child
+        assert report.span_id == by_record and report.parent_id == child
 
     def test_explicit_start_overrides_clock(self):
         clock = FakeClock()
@@ -62,7 +63,8 @@ class TestSpanLifecycle:
         tel = Telemetry(FakeClock(), record=True)
         a = tel.span_complete("a", 0, 1)
         b = tel.span_complete("b", 1, 2)
-        assert (a.span_id, b.span_id) == (1, 2)
+        assert (a, b) == (1, 2)
+        assert [s.span_id for s in tel.spans] == [1, 2]
 
     def test_events_record_value_and_time(self):
         clock = FakeClock()
@@ -92,6 +94,21 @@ class TestBindAndSinks:
         tel.span_complete("exec", 0, 1)
         tel.event("x")
         assert tel.spans == [] and tel.events == []
+
+    def test_record_false_reads_no_clock_and_builds_no_row(self):
+        reads = []
+
+        def clock() -> float:
+            reads.append(1)
+            return 0.0
+
+        tel = Telemetry(clock)
+        tel.event("x", worker="w0")
+        tel.span_complete("exec", 0.0, 1.0, worker="w0")
+        handle = tel.span("task", start=0.0, worker="w0")
+        handle.end(ok=True)
+        assert reads == []
+        assert len(tel.spans) == 0 and len(tel.events) == 0
 
 
 class TestNullTelemetry:
